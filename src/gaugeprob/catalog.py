@@ -289,10 +289,6 @@ def two_point_space() -> DiscreteProbabilitySpace:
     return DiscreteProbabilitySpace.uniform(("w1", "w2"))
 
 
-def _two_point_coefficient() -> RandomVariable:
-    return RandomVariable(space=two_point_space(), values=(1.0, 2.0))
-
-
 def _uniform_strategies(domain: Interval) -> tuple[GaugeFamily, GaugeFamily]:
     return (uniform_gauge_family(domain),
             scaled_uniform_family(domain, 2.0 / 3.0, "uniform-2/3"))

@@ -24,7 +24,6 @@ from .quadrature import kh_integrate, kh_levels
 from .random_functions import (
     RandomFunction,
     SeparableRandomFunction,
-    as_pathwise,
     resolve_gauge_family,
 )
 from .sampling import sample_values
@@ -36,16 +35,14 @@ from .schemas import (
     write_report,
 )
 from .stochastic import (
+    convergence_tails,
     derivative_in_probability_at,
     fubini_check,
     ftc_experiment,
     integrate_pathwise,
     integrate_riemann_in_probability,
-    random_riemann_sum,
     verify_uniqueness,
 )
-from .partitions import cousin_partition
-from .probability import deviation_probability
 
 log = logging.getLogger("gaugeprob")
 
@@ -267,8 +264,7 @@ def _run_integrate(config: RunConfig, scenario: dict):
     return parameters, payload, "pass" if result.converged else "unverified"
 
 
-def _stochastic_parameters(config, scenario, domain, eps, eta, tol, levels,
-                           gauge_name):
+def _stochastic_parameters(domain, eps, eta, tol, levels, gauge_name):
     return {
         "domain": [domain.lower, domain.upper],
         "eps": eps, "eta": eta, "tol": tol, "levels": levels,
@@ -292,8 +288,8 @@ def _run_integrate_prob(config: RunConfig, scenario: dict, riemann=False):
                                     gauge_family=family, max_levels=levels)
         resolved = family or resolve_gauge_family(function, domain)
         gauge_name = resolved.name
-    parameters = _stochastic_parameters(config, scenario, domain, eps, eta,
-                                        tol, levels, gauge_name)
+    parameters = _stochastic_parameters(domain, eps, eta, tol, levels,
+                                        gauge_name)
     status = "verified" if result.verified else "unverified"
     return parameters, result.as_dict(), status
 
@@ -316,9 +312,8 @@ def _run_uniqueness(config: RunConfig, scenario: dict):
                       catalog.gauge_family("uniform-2/3", domain))
     report = verify_uniqueness(function, domain, strategies, eps, eta, tol,
                                max_levels=levels)
-    parameters = _stochastic_parameters(
-        config, scenario, domain, eps, eta, tol, levels,
-        "+".join(report.strategy_names))
+    parameters = _stochastic_parameters(domain, eps, eta, tol, levels,
+                                        "+".join(report.strategy_names))
     ok = report.conclusive and report.almost_surely_equal
     return parameters, report.as_dict(), "pass" if ok else "fail"
 
@@ -401,17 +396,13 @@ def _run_convergence_table(config: RunConfig, scenario: dict):
                        _DEFAULTS["table_levels"]))
     eps = _positive("eps", _pick(config.eps, scenario, "eps", _DEFAULTS["eps"]))
     eta = _positive("eta", _pick(config.eta, scenario, "eta", _DEFAULTS["eta"]))
-    rows = []
     identifier = scenario.get("catalog")
     if identifier is not None and identifier in catalog.scalar_ids():
         integrand = catalog.scalar_integrand(identifier)
         domain = Interval.coerce(scenario.get("domain", integrand.domain))
         family = _resolve_gauge_override(scenario, domain)
-        for level, division, value in kh_levels(integrand, domain, family,
-                                                max_levels=levels):
-            rows.append({"level": level, "mesh_bound": division.mesh,
-                         "value": value, "worst_tail": None,
-                         "eps": eps, "eta": eta})
+        table = [(level, division.mesh, value, None) for level, division, value
+                 in kh_levels(integrand, domain, family, max_levels=levels)]
         gauge_name = (family.name if family else
                       integrand.gauge_family.name if integrand.gauge_family
                       else "uniform")
@@ -421,18 +412,13 @@ def _run_convergence_table(config: RunConfig, scenario: dict):
                                      _DEFAULTS["tol"]))
         family = _resolve_gauge_override(scenario, domain) or \
             resolve_gauge_family(function, domain)
-        reference = integrate_pathwise(function, domain, eps, eta, tol,
-                                       gauge_family=family,
-                                       max_levels=levels)
-        view = as_pathwise(function)
-        for level in range(levels + 1):
-            division = cousin_partition(family(level), domain)
-            sums = random_riemann_sum(view, division)
-            tail = deviation_probability(sums, reference.integral, eps)
-            rows.append({"level": level, "mesh_bound": division.mesh,
-                         "value": None, "worst_tail": tail,
-                         "eps": eps, "eta": eta})
+        table = [(level, mesh, None, tail) for level, mesh, tail
+                 in convergence_tails(function, domain, eps, tol,
+                                      gauge_family=family, max_levels=levels)]
         gauge_name = family.name
+    rows = [{"level": level, "mesh_bound": mesh, "value": value,
+             "worst_tail": tail, "eps": eps, "eta": eta}
+            for level, mesh, value, tail in table]
     parameters = {
         "domain": [domain.lower, domain.upper],
         "levels": levels, "eps": eps, "eta": eta, "gauge": gauge_name,
@@ -454,6 +440,8 @@ _HANDLERS = {
 
 def run(config: RunConfig) -> tuple[int, dict]:
     """Execute one configuration; returns (exit status, report dict)."""
+    if config.levels is not None and config.levels < 0:
+        raise ScenarioError(f"--levels: must be >= 0, got {config.levels}")
     scenario = _load_scenario(config)
     parameters, payload, status = _HANDLERS[config.command](config, scenario)
     source = ({"catalog": config.catalog} if config.catalog is not None
@@ -487,9 +475,10 @@ def main(argv=None) -> int:
             with out_path.open("w", encoding="utf-8") as stream:
                 write_report(report, stream, config.format)
         return status
-    except (GaugeProbError, ValueError, OSError) as exc:
+    except (GaugeProbError, ValueError, OSError, MemoryError) as exc:
         log.debug("failure detail", exc_info=True)
-        print(f"gaugeprob: error: {exc}", file=sys.stderr)
+        what = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"gaugeprob: error: {what}{exc}", file=sys.stderr)
         return 1
 
 

@@ -174,13 +174,7 @@ class GaugeFamily:
 
 def uniform_gauge_family(domain: Interval) -> GaugeFamily:
     """Constant-width family delta_m = (b - a) * 2^-m (uniform halving)."""
-    domain = Interval.coerce(domain)
-    span = domain.width
-
-    def at_level(level: int) -> Gauge:
-        return constant_gauge(span * 2.0 ** -level)
-
-    return GaugeFamily(name="uniform", at_level=at_level)
+    return scaled_uniform_family(domain, 1.0, "uniform")
 
 
 def scaled_uniform_family(domain: Interval, factor: float, name: str) -> GaugeFamily:

@@ -85,6 +85,8 @@ def kh_levels(phi, domain: Interval, gauge_family: GaugeFamily | None = None,
               max_depth: int = DEFAULT_MAX_DEPTH,
               ) -> Iterator[tuple[int, TaggedDivision, float]]:
     """Yield (level, division, riemann sum) for successive gauge levels."""
+    if max_levels < 0:
+        raise ValueError(f"max_levels must be >= 0, got {max_levels}")
     domain = Interval.coerce(domain)
     family = _resolve_family(phi, domain, gauge_family)
     for level in range(max_levels + 1):

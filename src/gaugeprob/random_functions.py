@@ -78,10 +78,6 @@ class PathwiseRandomFunction:
 RandomFunction = Union[SeparableRandomFunction, PathwiseRandomFunction]
 
 
-def function_space(f: RandomFunction) -> DiscreteProbabilitySpace:
-    return f.space
-
-
 def as_pathwise(f: RandomFunction) -> PathwiseRandomFunction:
     """View any random function through its pointwise values f(t, omega).
 
@@ -94,9 +90,6 @@ def as_pathwise(f: RandomFunction) -> PathwiseRandomFunction:
         return f
     coeffs = f.coefficient_matrix()  # outcomes x terms
 
-    def evaluate(t: float, outcome: int) -> float:
-        return f.evaluate(t, outcome)
-
     def vector_evaluate(ts: np.ndarray, outcome: int) -> np.ndarray:
         basis_values = np.stack([b.values_at(ts) for b in f.bases], axis=0)
         return coeffs[outcome] @ basis_values
@@ -107,7 +100,7 @@ def as_pathwise(f: RandomFunction) -> PathwiseRandomFunction:
 
     return PathwiseRandomFunction(
         space=f.space,
-        evaluate=evaluate,
+        evaluate=f.evaluate,
         vector_evaluate=vector_evaluate,
         matrix_evaluate=matrix_evaluate,
         gauge_family=paired_gauge_family(f),
@@ -157,7 +150,7 @@ def values_matrix(f: PathwiseRandomFunction, ts: np.ndarray) -> np.ndarray:
 
 def expectation_function(f: RandomFunction) -> ScalarIntegrand:
     """The deterministic function t -> E[f(t, .)], as a scalar integrand."""
-    weights = np.array(function_space(f).weights)
+    weights = np.array(f.space.weights)
 
     if isinstance(f, SeparableRandomFunction):
         means = np.array([float(weights @ c.to_array()) for c in f.coefficients])

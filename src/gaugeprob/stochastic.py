@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -122,6 +123,51 @@ def random_riemann_sum(f: RandomFunction, division: TaggedDivision) -> RandomVar
     return RandomVariable(space=f.space, values=tuple(float(s) for s in sums))
 
 
+def _check_parameters(max_levels: int | None = None, **positive: float) -> None:
+    for name, val in positive.items():
+        if not (math.isfinite(val) and val > 0):
+            raise ValueError(f"{name} must be positive, got {val}")
+    if max_levels is not None and max_levels < 0:
+        raise ValueError(f"max_levels must be >= 0, got {max_levels}")
+
+
+def _levels(f: RandomFunction, family: GaugeFamily, domain: Interval,
+            start: int, stop: int):
+    """The one pass over gauge levels: (level, gauge, division, sums of f)."""
+    for level in range(start, stop + 1):
+        gauge = family(level)
+        division = cousin_partition(gauge, domain)
+        yield level, gauge, division, random_riemann_sum(f, division)
+
+
+def _settle(levels, tol: float):
+    """Freeze each outcome at its first successive-level agreement within tol.
+
+    Consumes items (level, ..., sums) until every outcome has settled or the
+    items run out; an outcome that never settles keeps its last sum and is
+    failed.  Returns (integral, failed, final level, the items resumed at
+    the final one), so the final division and sums are handed on, not rebuilt.
+    """
+    levels = iter(levels)
+    previous = None
+    for item in levels:
+        sums = item[-1].to_array()
+        if previous is None:
+            frozen, settled = sums.copy(), np.zeros(sums.shape, dtype=bool)
+        else:
+            newly = (~settled) & (np.abs(sums - previous) <= tol)
+            frozen[newly] = sums[newly]
+            settled |= newly
+            if settled.all():
+                break
+        previous = sums
+    frozen[~settled] = sums[~settled]
+    integral = RandomVariable(space=item[-1].space,
+                              values=tuple(float(v) for v in frozen))
+    failed = tuple(int(i) for i in np.nonzero(~settled)[0])
+    return integral, failed, item[0], chain((item,), levels)
+
+
 def _pair_rows(eps: float | None, eta: float | None, tol: float):
     """The (eps, eta) pairs a certificate reports.
 
@@ -142,31 +188,27 @@ def _pair_rows(eps: float | None, eta: float | None, tol: float):
 
 
 def _certify(f_for_sums: RandomFunction, integral: RandomVariable,
-             family: GaugeFamily, domain: Interval, start_level: int,
-             pairs, max_levels: int = DEFAULT_MAX_LEVELS,
+             domain: Interval, levels, pairs,
              ) -> tuple[tuple[CertificateRow, ...], bool]:
     """Find, per (eps, eta) pair, a gauge level whose sharp divisions all
     stay within eps of the integral outside probability eta.
 
-    Tails are measured on three divisions per level: the constructed one,
-    the same pieces re-tagged with reversed preference, and an off-center
-    split.  A pair that keeps failing refines to finer levels (each pair is
-    entitled to its own gauge) until the level or piece budget runs out, at
-    which point its row reports the failing tail honestly.
+    ``levels`` continues the level pass from the level where integration
+    stopped.  Tails are measured on three divisions per level: the
+    constructed one, the same pieces re-tagged with reversed preference, and
+    an off-center split.  A pair that keeps failing refines to finer levels
+    (each pair is entitled to its own gauge) until the level or piece budget
+    runs out, at which point its row reports the failing tail honestly.
     """
     pending = list(pairs)
     rows: dict[tuple[float, float], CertificateRow] = {}
-    stop_level = min(start_level + _VERIFY_EXTRA_LEVELS, max_levels)
-    level = start_level
-    while pending:
-        gauge = family(level)
-        base = cousin_partition(gauge, domain)
-        divisions = (
-            base,
-            repick_tags(base, gauge),
-            cousin_partition(gauge, domain, split=_FRESH_SPLIT),
+    for _, gauge, base, base_sums in islice(levels, _VERIFY_EXTRA_LEVELS + 1):
+        all_sums = (
+            base_sums,
+            random_riemann_sum(f_for_sums, repick_tags(base, gauge)),
+            random_riemann_sum(f_for_sums, cousin_partition(
+                gauge, domain, split=_FRESH_SPLIT)),
         )
-        all_sums = [random_riemann_sum(f_for_sums, d) for d in divisions]
         still = []
         for (eps, eta) in pending:
             tail = max(
@@ -177,9 +219,8 @@ def _certify(f_for_sums: RandomFunction, integral: RandomVariable,
             if tail >= eta:
                 still.append((eps, eta))
         pending = still
-        if level >= stop_level or base.pieces > _VERIFY_PIECE_GUARD:
+        if not pending or base.pieces > _VERIFY_PIECE_GUARD:
             break
-        level += 1
     ordered = tuple(rows[pair] for pair in pairs)
     ok = all(row.achieved_tail < row.eta for row in ordered)
     return ordered, ok
@@ -196,6 +237,7 @@ def integrate_separable(f: SeparableRandomFunction, domain: Interval,
     shipped).  A basis that fails to converge raises
     :class:`NonConvergenceError` naming the term.
     """
+    _check_parameters(max_levels, tol=tol)
     domain = Interval.coerce(domain)
     if not isinstance(f, SeparableRandomFunction):
         raise TypeError("integrate_separable needs a separable random function")
@@ -217,9 +259,9 @@ def integrate_separable(f: SeparableRandomFunction, domain: Interval,
     integral = RandomVariable(space=f.space, values=values)
 
     level = max(r.refinement_levels for r in scalar_results)
-    family = resolve_gauge_family(f, domain)
-    rows, ok = _certify(f, integral, family, domain, level,
-                        _pair_rows(None, None, tol))
+    levels = _levels(f, resolve_gauge_family(f, domain), domain, level,
+                     max_levels)
+    rows, ok = _certify(f, integral, domain, levels, _pair_rows(None, None, tol))
     return StochasticIntegralResult(
         integral=integral, certificate=rows, method="separable",
         verified=ok, levels_used=level,
@@ -243,52 +285,37 @@ def integrate_pathwise(f: RandomFunction, domain: Interval, eps: float,
     final level and requires tail < eta for the requested pair and for the
     default grid.
     """
-    for name, val in (("eps", eps), ("eta", eta), ("tol", tol)):
-        if not (math.isfinite(val) and val > 0):
-            raise ValueError(f"{name} must be positive, got {val}")
+    _check_parameters(max_levels, eps=eps, eta=eta, tol=tol)
     domain = Interval.coerce(domain)
     view = as_pathwise(f)
     family = resolve_gauge_family(f, domain, gauge_family)
-    space = view.space
-    n = space.size
-
-    frozen = np.full(n, np.nan)
-    settled = np.zeros(n, dtype=bool)
-    previous = None
-    last_sums = None
-    level = 0
-    for level in range(max_levels + 1):
-        gauge = family(level)
-        division = cousin_partition(gauge, domain)
-        matrix = values_matrix(view, division.tags)
-        bad = ~np.isfinite(matrix)
-        if bad.any():
-            outcome, col = np.argwhere(bad)[0]
-            raise EvaluationError(
-                "random function returned a non-finite value",
-                tag=float(division.tags[col]), outcome=int(outcome),
-            )
-        sums = matrix @ division.widths
-        if previous is not None:
-            newly = (~settled) & (np.abs(sums - previous) <= tol)
-            frozen[newly] = sums[newly]
-            settled |= newly
-            if settled.all():
-                last_sums = sums
-                break
-        previous = sums
-        last_sums = sums
-    frozen[~settled] = last_sums[~settled]
-    failed = tuple(int(i) for i in np.nonzero(~settled)[0])
-    integral = RandomVariable(space=space, values=tuple(float(v) for v in frozen))
-
-    rows, tails_ok = _certify(view, integral, family, domain, level,
-                              _pair_rows(eps, eta, tol), max_levels=max_levels)
+    integral, failed, level, levels = _settle(
+        _levels(view, family, domain, 0, max_levels), tol)
+    rows, tails_ok = _certify(view, integral, domain, levels,
+                              _pair_rows(eps, eta, tol))
     return StochasticIntegralResult(
         integral=integral, certificate=rows, method=method,
         verified=tails_ok and not failed, levels_used=level,
         failed_outcomes=failed,
     )
+
+
+def convergence_tails(f: RandomFunction, domain: Interval, eps: float,
+                      tol: float, gauge_family: GaugeFamily | None = None,
+                      max_levels: int = DEFAULT_MAX_LEVELS,
+                      ) -> tuple[tuple[int, float, float], ...]:
+    """(level, mesh, P(|S - I| >= eps)) for the sums S of each level
+    0..max_levels against the pathwise integral I settled on the same
+    divisions; no certificate is computed."""
+    _check_parameters(max_levels, eps=eps, tol=tol)
+    domain = Interval.coerce(domain)
+    view = as_pathwise(f)
+    family = resolve_gauge_family(f, domain, gauge_family)
+    per_level = [(level, division.mesh, sums) for level, _, division, sums
+                 in _levels(view, family, domain, 0, max_levels)]
+    integral = _settle(per_level, tol)[0]
+    return tuple((level, mesh, deviation_probability(sums, integral, eps))
+                 for level, mesh, sums in per_level)
 
 
 def integrate_riemann_in_probability(f: RandomFunction, domain: Interval,
@@ -302,7 +329,6 @@ def integrate_riemann_in_probability(f: RandomFunction, domain: Interval,
     probability: smooth integrands reproduce the gauge result, while
     integrands needing local pinching stall or miss under any level budget.
     """
-    domain = Interval.coerce(domain)
     return integrate_pathwise(
         f, domain, eps, eta, tol,
         gauge_family=uniform_gauge_family(domain),
@@ -310,13 +336,15 @@ def integrate_riemann_in_probability(f: RandomFunction, domain: Interval,
     )
 
 
-def _descending_eps_grid(eps: float, floor: float, count: int = 5):
+def _deviation_rows(x: RandomVariable, y: RandomVariable, eps: float,
+                    floor: float, count: int = 5):
+    """(e, P(|x - y| >= e)) on an eps grid descending geometrically to floor."""
     if eps <= floor:
-        return (eps,)
-    ratio = (floor / eps) ** (1.0 / (count - 1))
-    grid = [eps * ratio ** j for j in range(count)]
-    grid[-1] = floor
-    return tuple(grid)
+        grid = [eps]
+    else:
+        ratio = (floor / eps) ** (1.0 / (count - 1))
+        grid = [eps * ratio ** j for j in range(count - 1)] + [floor]
+    return tuple((e, deviation_probability(x, y, e)) for e in grid)
 
 
 @dataclass(frozen=True)
@@ -364,10 +392,7 @@ def verify_uniqueness(f: RandomFunction, domain: Interval, strategies,
     r2 = integrate_pathwise(f, domain, eps, eta, tol, gauge_family=fam2,
                             max_levels=max_levels)
     equal_tol = 10.0 * tol
-    rows = tuple(
-        (e, deviation_probability(r1.integral, r2.integral, e))
-        for e in _descending_eps_grid(eps, equal_tol)
-    )
+    rows = _deviation_rows(r1.integral, r2.integral, eps, equal_tol)
     return UniquenessReport(
         strategy_names=(getattr(fam1, "name", "strategy-1"),
                         getattr(fam2, "name", "strategy-2")),
@@ -458,9 +483,8 @@ def fubini_check(f: RandomFunction, domain: Interval,
     20 tol.  The report also confirms the dominating bound
     |S(omega)| <= A(omega) (b - a) on the final division.
     """
+    _check_parameters(max_levels, tol=tol)
     domain = Interval.coerce(domain)
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive, got {tol}")
     view = as_pathwise(f)
     if dominator.space != view.space:
         raise SpaceMismatchError("dominator must live on the function's space")
@@ -497,21 +521,24 @@ def fubini_check(f: RandomFunction, domain: Interval,
         checked_points += final_division.tags.size
 
     if violation is None:
-        res = integrate_pathwise(f, domain, eps=1e-3, eta=DEFAULT_ETA, tol=tol,
-                                 max_levels=max_levels)
-        rhs = expectation(res.integral)
-        rhs_verified = res.verified
-        family = resolve_gauge_family(f, domain)
-        division = cousin_partition(family(res.levels_used), domain)
+        # RHS: the integration pass hands on its final division, whose tags
+        # join the hypothesis grid and whose sums meet the dominating bound.
+        integral, failed, _, levels = _settle(
+            _levels(view, resolve_gauge_family(f, domain), domain, 0,
+                    max_levels), tol)
+        final = _, _, division, sums = next(levels)
         violation = _domination_violation(view, division.tags, dominator)
         checked_points += division.tags.size
         if violation is None:
-            sums = random_riemann_sum(view, division)
             cap = dominator.to_array() * domain.width
             margins = np.abs(sums.to_array()) - cap
             positive = np.array(view.space.weights) > 0
             bound_margin = float(np.max(margins[positive]))
             bound_ok = bool(bound_margin <= 0.0)
+        _, tails_ok = _certify(view, integral, domain, chain((final,), levels),
+                               _pair_rows(1e-3, DEFAULT_ETA, tol))
+        rhs = expectation(integral)
+        rhs_verified = tails_ok and not failed
 
     hypothesis_ok = violation is None
     if hypothesis_ok:
@@ -572,9 +599,7 @@ def derivative_in_probability_at(F: RandomFunction, f_candidate: RandomFunction,
     symmetric offsets within ``radius``) is a finite surrogate for the
     every-t quantifier, so a pass is evidence, not proof.
     """
-    for name, val in (("eps", eps), ("eta", eta)):
-        if not (math.isfinite(val) and val > 0):
-            raise ValueError(f"{name} must be positive, got {val}")
+    _check_parameters(eps=eps, eta=eta)
     viewF = as_pathwise(F)
     viewf = as_pathwise(f_candidate)
     if viewF.space != viewf.space:
@@ -678,10 +703,7 @@ def ftc_experiment(F: RandomFunction, f: RandomFunction, domain: Interval,
         values=tuple(float(v) for v in ends[:, 1] - ends[:, 0]),
     )
     equal_tol = 10.0 * tol
-    rows = tuple(
-        (e, deviation_probability(res.integral, increment, e))
-        for e in _descending_eps_grid(eps, equal_tol)
-    )
+    rows = _deviation_rows(res.integral, increment, eps, equal_tol)
     return FtcReport(
         exploratory=True,
         derivative_points=tuple(checks),
