@@ -1,0 +1,204 @@
+"""Compare two source trees' CLI reports, exit codes and stderr.
+
+    python scripts/compare_reports.py OLD_TREE NEW_TREE
+
+Each tree (a checkout with ``src/gaugeprob``) runs the gate list below in one
+worker process of its own: every command goes through
+``gaugeprob.cli.main`` in-process, with ``--out`` into a temporary
+directory.  The reports are compared as text with the ``generated_at`` line
+removed, together with the exit code and what the command wrote to stderr.
+Every command that differs is printed; the exit status is 0 only when none
+does.  Scenario files, including the sampled-separable scenarios that
+``bench/inputs.py`` generates, are written to the same temporary directory,
+which is removed afterwards.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+RANDOM_IDS = ("affine-pair", "indicator-coeff", "linear-coeff", "osc-coeff",
+              "quadratic-coeff", "trig-coeff", "zero")
+DOMINATED_IDS = ("affine-pair", "indicator-coeff", "linear-coeff",
+                 "quadratic-coeff", "trig-coeff", "zero")
+SCALAR_IDS = ("constant", "finite-indicator", "linear", "monomial2",
+              "monomial3", "osc-derivative", "poly-deg5", "trig-mix")
+FTC_IDS = ("ftc-quadratic", "ftc-singular")
+SAMPLED_SEEDS = (1, 3)
+
+SCENARIOS = {
+    "fubini-violation": {"catalog": "linear-coeff",
+                         "dominator": {"values": [2.0, 0.5]}},
+    "trig-mix-uniform-2-3": {"catalog": "trig-mix", "gauge": "uniform-2/3"},
+    "trig-mix-constant": {"catalog": "trig-mix", "gauge": {"constant": 0.3}},
+    "trig-coeff-constant": {"catalog": "trig-coeff",
+                            "gauge": {"constant": 0.3}},
+    "sampled-uniform01": {
+        "space": {"sample": {"distribution": "uniform01", "n": 32}},
+        "function": {"form": "separable", "terms": [
+            {"values": {"sample": {"distribution": "uniform01"}},
+             "basis": "linear"}]}},
+    "unknown-distribution": {
+        "space": {"sample": {"distribution": "nonsense", "n": 16}},
+        "function": {"form": "separable", "terms": [
+            {"values": {"sample": {"distribution": "uniform01"}},
+             "basis": "linear"}]}},
+}
+
+
+def gate_commands(scenario_dir: Path) -> list[list[str]]:
+    """The gate list: argv lists without ``--out``."""
+    def scenario(name):
+        return ["--scenario", str(scenario_dir / f"{name}.json")]
+
+    commands = []
+    for ident in RANDOM_IDS:
+        table_levels = "2" if ident == "osc-coeff" else "6"
+        commands += [
+            ["integrate-prob", "--catalog", ident],
+            ["riemann-prob", "--catalog", ident, "--levels", "8"],
+            ["convergence-table", "--catalog", ident, "--levels",
+             table_levels],
+        ]
+    for ident in DOMINATED_IDS:
+        commands += [["uniqueness", "--catalog", ident],
+                     ["fubini", "--catalog", ident]]
+    for ident in FTC_IDS:
+        commands += [["ftc", "--catalog", ident],
+                     ["derivative", "--catalog", ident]]
+    for command in ("integrate-prob", "convergence-table", "uniqueness"):
+        commands.append([command, "--catalog", "quadratic-coeff",
+                         "--levels", "2", "--tol", "1e-12"])
+    for ident in SCALAR_IDS:
+        commands += [["integrate", "--catalog", ident],
+                     ["convergence-table", "--catalog", ident,
+                      "--levels", "4"]]
+    commands += [
+        ["integrate", "--catalog", "monomial2", "--tol", "1e-13",
+         "--levels", "3"],
+        ["integrate", "--catalog", "osc-derivative", "--tol", "1e-6"],
+        ["fubini", *scenario("fubini-violation")],
+        ["integrate", *scenario("trig-mix-uniform-2-3")],
+        ["integrate", *scenario("trig-mix-constant")],
+        ["integrate-prob", *scenario("trig-coeff-constant")],
+        ["integrate-prob", *scenario("sampled-uniform01"), "--seed", "11"],
+        ["integrate-prob", *scenario("unknown-distribution")],
+    ]
+    for seed in SAMPLED_SEEDS:
+        sampled = scenario(f"sampled-separable-{seed}")
+        commands += [["integrate-prob", *sampled],
+                     ["uniqueness", *sampled],
+                     ["fubini", *sampled],
+                     ["convergence-table", *sampled, "--levels", "8"]]
+    commands += [
+        ["integrate", "--catalog", "linear", "--levels", "-1"],
+        ["fubini", "--catalog", "linear-coeff", "--levels", "0"],
+        ["fubini", "--catalog", "trig-coeff", "--levels", "3"],
+    ]
+    return commands
+
+
+# Runs inside the worker process: argv is (src dir, commands file, out dir,
+# results file).
+WORKER = r'''
+import contextlib, io, json, sys, traceback
+from pathlib import Path
+src, commands_file, out_dir, results_file = sys.argv[1:]
+sys.path.insert(0, src)
+import gaugeprob
+from gaugeprob.cli import main
+if Path(gaugeprob.__file__).resolve().parent != Path(src).resolve() / "gaugeprob":
+    raise SystemExit(f"imported gaugeprob from {gaugeprob.__file__}")
+results = []
+for index, argv in enumerate(json.loads(Path(commands_file).read_text())):
+    out = Path(out_dir) / f"{index}.report"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main([*argv, "--out", str(out)])
+        except Exception:
+            traceback.print_exc()
+            code = "exception"
+    report = None
+    if out.exists():
+        report = "".join(line for line in
+                         out.read_text(encoding="utf-8").splitlines(True)
+                         if '"generated_at"' not in line)
+    results.append({"exit": code, "stderr": err.getvalue(), "report": report})
+Path(results_file).write_text(json.dumps(results), encoding="utf-8")
+'''
+
+
+def _write_scenarios(scenario_dir: Path, env: dict) -> None:
+    for name, data in SCENARIOS.items():
+        (scenario_dir / f"{name}.json").write_text(json.dumps(data),
+                                                   encoding="utf-8")
+    for seed in SAMPLED_SEEDS:
+        out = scenario_dir / f"sampled-separable-{seed}"
+        subprocess.run([sys.executable, str(REPO / "bench" / "inputs.py"),
+                        "--workload", "sampled-separable", "--seed", str(seed),
+                        "--out", str(out)], check=True, env=env,
+                       stdout=subprocess.DEVNULL)
+        (out / "scenario.json").rename(
+            scenario_dir / f"sampled-separable-{seed}.json")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_tree", type=Path)
+    parser.add_argument("new_tree", type=Path)
+    args = parser.parse_args(argv)
+    trees = {"old": args.old_tree.resolve(), "new": args.new_tree.resolve()}
+    for tree in trees.values():
+        if not (tree / "src" / "gaugeprob" / "__init__.py").is_file():
+            parser.error(f"no src/gaugeprob under {tree}")
+
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONPATH", "GAUGEPROB_LOG")}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    with tempfile.TemporaryDirectory(prefix="compare-reports-") as tmp:
+        tmp = Path(tmp)
+        _write_scenarios(tmp, env)
+        commands = gate_commands(tmp)
+        (tmp / "commands.json").write_text(json.dumps(commands),
+                                           encoding="utf-8")
+        workers = {}
+        for side, tree in trees.items():
+            (tmp / side).mkdir()
+            workers[side] = subprocess.Popen(
+                [sys.executable, "-c", WORKER, str(tree / "src"),
+                 str(tmp / "commands.json"), str(tmp / side),
+                 str(tmp / f"{side}.json")], env=env, cwd=tmp)
+        failed = [side for side, worker in workers.items() if worker.wait()]
+        for side in failed:
+            print(f"worker for {trees[side]} failed", file=sys.stderr)
+        if failed:
+            return 1
+        old, new = (json.loads((tmp / f"{side}.json").read_text())
+                    for side in ("old", "new"))
+
+        differing = 0
+        for argv, a, b in zip(commands, old, new):
+            fields = [key for key in ("exit", "stderr", "report")
+                      if a[key] != b[key]]
+            if fields:
+                differing += 1
+                shown = " ".join(argv).replace(str(tmp), "$TMP")
+                print(f"DIFFERS ({', '.join(fields)}): gaugeprob {shown}")
+                for key in ("exit", "stderr"):
+                    if key in fields:
+                        print(f"  {key}: {a[key]!r} -> {b[key]!r}")
+    print(f"{differing} of {len(commands)} commands differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

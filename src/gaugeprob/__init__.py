@@ -37,6 +37,7 @@ from .quadrature import (
     ScalarIntegrand,
     kh_integrate,
     kh_levels,
+    resolve_gauge_family,
     riemann_sum_scalar,
 )
 from .random_functions import (
@@ -44,7 +45,6 @@ from .random_functions import (
     SeparableRandomFunction,
     as_pathwise,
     expectation_function,
-    resolve_gauge_family,
 )
 from .sampling import sample_coefficients, sample_space, sample_values
 from .stochastic import (

@@ -20,13 +20,9 @@ from . import catalog
 from .errors import GaugeProbError, ScenarioError
 from .gauges import GaugeFamily, Interval, constant_gauge
 from .probability import DiscreteProbabilitySpace, RandomVariable
-from .quadrature import kh_integrate, kh_levels
-from .random_functions import (
-    RandomFunction,
-    SeparableRandomFunction,
-    resolve_gauge_family,
-)
-from .sampling import sample_values
+from .quadrature import kh_integrate, kh_levels, resolve_gauge_family
+from .random_functions import RandomFunction, SeparableRandomFunction
+from .sampling import check_distribution, sample_values
 from .schemas import (
     COMMANDS,
     build_report,
@@ -128,12 +124,13 @@ def _positive(name: str, value) -> float:
     return value
 
 
-def _pick(config_value, scenario: dict, key: str, default):
-    if config_value is not None:
-        return config_value
-    if key in scenario:
-        return scenario[key]
-    return default
+def _number(config: RunConfig, scenario: dict, key: str, default=None):
+    """The flag, else the scenario's value, else ``_DEFAULTS[default or
+    key]``; ``levels`` is an integer, the others must be positive."""
+    value = getattr(config, key)
+    if value is None:
+        value = scenario.get(key, _DEFAULTS[default or key])
+    return int(value) if key == "levels" else _positive(key, value)
 
 
 def _resolve_space(data, seed: int) -> DiscreteProbabilitySpace:
@@ -146,6 +143,11 @@ def _resolve_space(data, seed: int) -> DiscreteProbabilitySpace:
         for key in ("distribution", "n"):
             if key not in sample:
                 raise ScenarioError(f"scenario.space.sample.{key}: missing")
+        try:
+            check_distribution(sample["distribution"])
+        except ScenarioError as exc:
+            raise ScenarioError(
+                f"scenario.space.sample.distribution: {exc}") from None
         return DiscreteProbabilitySpace.uniform(int(sample["n"]))
     for key in ("outcomes", "weights"):
         if key not in data:
@@ -214,9 +216,10 @@ def _resolve_function(scenario: dict, seed: int
     return function, domain, None
 
 
-def _resolve_gauge_override(scenario: dict, domain: Interval) -> GaugeFamily | None:
+def _resolve_gauge(scenario: dict, integrand, domain: Interval) -> GaugeFamily:
+    """The scenario's ``"gauge"``, else the integrand's own family."""
     if "gauge" not in scenario:
-        return None
+        return resolve_gauge_family(integrand, domain)
     spec = scenario["gauge"]
     if isinstance(spec, str):
         return catalog.gauge_family(spec, domain)
@@ -240,10 +243,9 @@ def _run_integrate(config: RunConfig, scenario: dict):
                             "scalar integrand id")
     integrand = catalog.scalar_integrand(scenario["catalog"])
     domain = Interval.coerce(scenario.get("domain", integrand.domain))
-    tol = _positive("tol", _pick(config.tol, scenario, "tol",
-                                 _DEFAULTS["scalar_tol"]))
-    levels = int(_pick(config.levels, scenario, "levels", _DEFAULTS["levels"]))
-    family = _resolve_gauge_override(scenario, domain)
+    tol = _number(config, scenario, "tol", "scalar_tol")
+    levels = _number(config, scenario, "levels")
+    family = _resolve_gauge(scenario, integrand, domain)
     result = kh_integrate(integrand, domain, tol, gauge_family=family,
                           max_levels=levels)
     parameters = {
@@ -251,9 +253,7 @@ def _run_integrate(config: RunConfig, scenario: dict):
         "domain": [domain.lower, domain.upper],
         "tol": tol,
         "levels": levels,
-        "gauge": family.name if family else
-                 (integrand.gauge_family.name if integrand.gauge_family
-                  else "uniform"),
+        "gauge": family.name,
     }
     payload = {
         "value": result.value,
@@ -274,20 +274,19 @@ def _stochastic_parameters(domain, eps, eta, tol, levels, gauge_name):
 
 def _run_integrate_prob(config: RunConfig, scenario: dict, riemann=False):
     function, domain, entry = _resolve_function(scenario, config.seed)
-    eps = _positive("eps", _pick(config.eps, scenario, "eps", _DEFAULTS["eps"]))
-    eta = _positive("eta", _pick(config.eta, scenario, "eta", _DEFAULTS["eta"]))
-    tol = _positive("tol", _pick(config.tol, scenario, "tol", _DEFAULTS["tol"]))
-    levels = int(_pick(config.levels, scenario, "levels", _DEFAULTS["levels"]))
+    eps = _number(config, scenario, "eps")
+    eta = _number(config, scenario, "eta")
+    tol = _number(config, scenario, "tol")
+    levels = _number(config, scenario, "levels")
     if riemann:
         result = integrate_riemann_in_probability(function, domain, eps, eta,
                                                   tol, max_levels=levels)
         gauge_name = "uniform"
     else:
-        family = _resolve_gauge_override(scenario, domain)
+        family = _resolve_gauge(scenario, function, domain)
         result = integrate_pathwise(function, domain, eps, eta, tol,
                                     gauge_family=family, max_levels=levels)
-        resolved = family or resolve_gauge_family(function, domain)
-        gauge_name = resolved.name
+        gauge_name = family.name
     parameters = _stochastic_parameters(domain, eps, eta, tol, levels,
                                         gauge_name)
     status = "verified" if result.verified else "unverified"
@@ -296,10 +295,10 @@ def _run_integrate_prob(config: RunConfig, scenario: dict, riemann=False):
 
 def _run_uniqueness(config: RunConfig, scenario: dict):
     function, domain, entry = _resolve_function(scenario, config.seed)
-    eps = _positive("eps", _pick(config.eps, scenario, "eps", _DEFAULTS["eps"]))
-    eta = _positive("eta", _pick(config.eta, scenario, "eta", _DEFAULTS["eta"]))
-    tol = _positive("tol", _pick(config.tol, scenario, "tol", _DEFAULTS["tol"]))
-    levels = int(_pick(config.levels, scenario, "levels", _DEFAULTS["levels"]))
+    eps = _number(config, scenario, "eps")
+    eta = _number(config, scenario, "eta")
+    tol = _number(config, scenario, "tol")
+    levels = _number(config, scenario, "levels")
     if "strategies" in scenario:
         ids = scenario["strategies"]
         if not (isinstance(ids, list) and len(ids) == 2):
@@ -320,7 +319,7 @@ def _run_uniqueness(config: RunConfig, scenario: dict):
 
 def _run_fubini(config: RunConfig, scenario: dict):
     function, domain, entry = _resolve_function(scenario, config.seed)
-    tol = _positive("tol", _pick(config.tol, scenario, "tol", _DEFAULTS["tol"]))
+    tol = _number(config, scenario, "tol")
     if "dominator" in scenario:
         spec = scenario["dominator"]
         if not (isinstance(spec, dict) and "values" in spec):
@@ -332,7 +331,7 @@ def _run_fubini(config: RunConfig, scenario: dict):
     else:
         raise ScenarioError("scenario.dominator: missing and the entry ships "
                             "no dominating variable")
-    levels = int(_pick(config.levels, scenario, "levels", _DEFAULTS["levels"]))
+    levels = _number(config, scenario, "levels")
     report = fubini_check(function, domain, dominator, tol, max_levels=levels)
     parameters = {
         "domain": [domain.lower, domain.upper],
@@ -361,9 +360,8 @@ def _resolve_pair(scenario: dict, seed: int):
 
 def _run_derivative(config: RunConfig, scenario: dict):
     F, f, domain, t0 = _resolve_pair(scenario, config.seed)
-    eps = _positive("eps", _pick(config.eps, scenario, "eps",
-                                 _DEFAULTS["derivative_eps"]))
-    eta = _positive("eta", _pick(config.eta, scenario, "eta", _DEFAULTS["eta"]))
+    eps = _number(config, scenario, "eps", "derivative_eps")
+    eta = _number(config, scenario, "eta")
     radius = float(scenario.get("grid_radius", 1e-3))
     points = int(scenario.get("grid_points", 16))
     report = derivative_in_probability_at(F, f, t0, eps, eta,
@@ -378,10 +376,10 @@ def _run_derivative(config: RunConfig, scenario: dict):
 
 def _run_ftc(config: RunConfig, scenario: dict):
     F, f, domain, _ = _resolve_pair(scenario, config.seed)
-    eps = _positive("eps", _pick(config.eps, scenario, "eps", _DEFAULTS["eps"]))
-    eta = _positive("eta", _pick(config.eta, scenario, "eta", _DEFAULTS["eta"]))
-    tol = _positive("tol", _pick(config.tol, scenario, "tol", _DEFAULTS["tol"]))
-    levels = int(_pick(config.levels, scenario, "levels", _DEFAULTS["levels"]))
+    eps = _number(config, scenario, "eps")
+    eta = _number(config, scenario, "eta")
+    tol = _number(config, scenario, "tol")
+    levels = _number(config, scenario, "levels")
     report = ftc_experiment(F, f, domain, eps, eta, tol, max_levels=levels)
     parameters = {
         "domain": [domain.lower, domain.upper],
@@ -392,36 +390,29 @@ def _run_ftc(config: RunConfig, scenario: dict):
 
 
 def _run_convergence_table(config: RunConfig, scenario: dict):
-    levels = int(_pick(config.levels, scenario, "levels",
-                       _DEFAULTS["table_levels"]))
-    eps = _positive("eps", _pick(config.eps, scenario, "eps", _DEFAULTS["eps"]))
-    eta = _positive("eta", _pick(config.eta, scenario, "eta", _DEFAULTS["eta"]))
+    levels = _number(config, scenario, "levels", "table_levels")
+    eps = _number(config, scenario, "eps")
+    eta = _number(config, scenario, "eta")
     identifier = scenario.get("catalog")
     if identifier is not None and identifier in catalog.scalar_ids():
         integrand = catalog.scalar_integrand(identifier)
         domain = Interval.coerce(scenario.get("domain", integrand.domain))
-        family = _resolve_gauge_override(scenario, domain)
+        family = _resolve_gauge(scenario, integrand, domain)
         table = [(level, division.mesh, value, None) for level, division, value
                  in kh_levels(integrand, domain, family, max_levels=levels)]
-        gauge_name = (family.name if family else
-                      integrand.gauge_family.name if integrand.gauge_family
-                      else "uniform")
     else:
         function, domain, entry = _resolve_function(scenario, config.seed)
-        tol = _positive("tol", _pick(config.tol, scenario, "tol",
-                                     _DEFAULTS["tol"]))
-        family = _resolve_gauge_override(scenario, domain) or \
-            resolve_gauge_family(function, domain)
+        tol = _number(config, scenario, "tol")
+        family = _resolve_gauge(scenario, function, domain)
         table = [(level, mesh, None, tail) for level, mesh, tail
                  in convergence_tails(function, domain, eps, tol,
                                       gauge_family=family, max_levels=levels)]
-        gauge_name = family.name
     rows = [{"level": level, "mesh_bound": mesh, "value": value,
              "worst_tail": tail, "eps": eps, "eta": eta}
             for level, mesh, value, tail in table]
     parameters = {
         "domain": [domain.lower, domain.upper],
-        "levels": levels, "eps": eps, "eta": eta, "gauge": gauge_name,
+        "levels": levels, "eps": eps, "eta": eta, "gauge": family.name,
     }
     return parameters, {"rows": rows}, "table"
 

@@ -7,6 +7,8 @@ agreeing within the tolerance is the stopping certificate.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -14,9 +16,11 @@ import numpy as np
 
 from .errors import EvaluationError
 from .gauges import GaugeFamily, Interval, uniform_gauge_family
-from .partitions import DEFAULT_MAX_DEPTH, TaggedDivision, cousin_partition
+from .partitions import TaggedDivision, cousin_partition
 
 DEFAULT_MAX_LEVELS = 40
+
+log = logging.getLogger("gaugeprob")
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,53 @@ def riemann_sum_scalar(phi, division: TaggedDivision) -> float:
     return float(np.sum(values * division.widths))
 
 
+def resolve_gauge_family(integrand, domain: Interval,
+                         override: GaugeFamily | None = None) -> GaugeFamily:
+    """The override, else the integrand's own ``gauge_family``, else uniform."""
+    if override is not None:
+        return override
+    own = getattr(integrand, "gauge_family", None)
+    return own if own is not None else uniform_gauge_family(domain)
+
+
+def level_pass(sum_over, family: GaugeFamily, domain: Interval,
+               start: int, stop: int):
+    """The one pass over levels ``start..stop``: (level, gauge, division,
+    sum_over(division)); logs one INFO record per level on ``gaugeprob``."""
+    for level in range(start, stop + 1):
+        began = time.perf_counter()
+        gauge = family(level)
+        division = cousin_partition(gauge, domain)
+        built = time.perf_counter()
+        sums = sum_over(division)
+        log.info("level %d: %d pieces, built in %.3f s, summed in %.3f s",
+                 level, division.pieces, built - began,
+                 time.perf_counter() - built)
+        yield level, gauge, division, sums
+
+
+class Settle:
+    """The settle rule over successive levels' sums: each component freezes
+    at its first successive-level agreement within ``tol``, and one that
+    never agrees keeps its latest sum."""
+
+    def __init__(self, tol: float):
+        self.tol, self.values, self.settled, self.done = tol, None, None, False
+
+    def feed(self, sums) -> bool:
+        """Take one level's sums; True once every component has settled."""
+        sums = np.array(sums, dtype=float, ndmin=1)
+        if self.values is None:
+            self.settled = np.zeros(sums.shape, dtype=bool)
+        else:
+            agree = np.abs(sums - self.values) <= self.tol
+            sums = np.where(self.settled, self.values, sums)
+            self.settled = self.settled | agree
+        self.values = sums
+        self.done = bool(self.settled.all())
+        return self.done
+
+
 @dataclass(frozen=True)
 class QuadratureResult:
     """Value plus the certificate of how it was reached."""
@@ -82,31 +133,20 @@ class QuadratureResult:
 
 def kh_levels(phi, domain: Interval, gauge_family: GaugeFamily | None = None,
               max_levels: int = DEFAULT_MAX_LEVELS,
-              max_depth: int = DEFAULT_MAX_DEPTH,
               ) -> Iterator[tuple[int, TaggedDivision, float]]:
     """Yield (level, division, riemann sum) for successive gauge levels."""
     if max_levels < 0:
         raise ValueError(f"max_levels must be >= 0, got {max_levels}")
-    domain = Interval.coerce(domain)
-    family = _resolve_family(phi, domain, gauge_family)
-    for level in range(max_levels + 1):
-        division = cousin_partition(family(level), domain, max_depth=max_depth)
-        yield level, division, riemann_sum_scalar(phi, division)
-
-
-def _resolve_family(phi, domain: Interval,
-                    gauge_family: GaugeFamily | None) -> GaugeFamily:
-    if gauge_family is not None:
-        return gauge_family
-    if isinstance(phi, ScalarIntegrand) and phi.gauge_family is not None:
-        return phi.gauge_family
-    return uniform_gauge_family(domain)
+    for level, _, division, value in level_pass(
+            lambda division: riemann_sum_scalar(phi, division),
+            resolve_gauge_family(phi, domain, gauge_family), domain, 0,
+            max_levels):
+        yield level, division, value
 
 
 def kh_integrate(phi, domain: Interval, tol: float,
                  gauge_family: GaugeFamily | None = None,
-                 max_levels: int = DEFAULT_MAX_LEVELS,
-                 max_depth: int = DEFAULT_MAX_DEPTH) -> QuadratureResult:
+                 max_levels: int = DEFAULT_MAX_LEVELS) -> QuadratureResult:
     """Iterate gauge levels until two successive sums agree within ``tol``.
 
     The default family halves a uniform width each level; integrands that
@@ -116,18 +156,10 @@ def kh_integrate(phi, domain: Interval, tol: float,
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive, got {tol}")
-    previous = None
-    level = mesh = value = None
-    for level, division, value in kh_levels(
-            phi, domain, gauge_family, max_levels, max_depth):
-        mesh = division.mesh
-        if previous is not None and abs(value - previous) <= tol:
-            return QuadratureResult(
-                value=value, refinement_levels=level,
-                final_mesh_bound=mesh, converged=True,
-            )
-        previous = value
-    return QuadratureResult(
-        value=value, refinement_levels=level,
-        final_mesh_bound=mesh, converged=False,
-    )
+    rule = Settle(tol)
+    for level, division, value in kh_levels(phi, domain, gauge_family,
+                                            max_levels):
+        if rule.feed(value):
+            break
+    return QuadratureResult(float(rule.values[0]), level, division.mesh,
+                            rule.done)

@@ -17,7 +17,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import SpaceMismatchError
-from .gauges import GaugeFamily, Interval, intersect_families, uniform_gauge_family
+from .gauges import GaugeFamily, intersect_families
 from .probability import DiscreteProbabilitySpace, RandomVariable
 from .quadrature import ScalarIntegrand
 
@@ -58,6 +58,14 @@ class SeparableRandomFunction:
     def coefficient_matrix(self) -> np.ndarray:
         return np.stack([c.to_array() for c in self.coefficients], axis=1)
 
+    @property
+    def gauge_family(self) -> GaugeFamily | None:
+        """The levelwise intersection of the bases' families, if any: one
+        gauge must serve every term (and every outcome) at once."""
+        families = [b.gauge_family for b in self.bases
+                    if b.gauge_family is not None]
+        return intersect_families(families) if families else None
+
 
 @dataclass(frozen=True)
 class PathwiseRandomFunction:
@@ -90,10 +98,6 @@ def as_pathwise(f: RandomFunction) -> PathwiseRandomFunction:
         return f
     coeffs = f.coefficient_matrix()  # outcomes x terms
 
-    def vector_evaluate(ts: np.ndarray, outcome: int) -> np.ndarray:
-        basis_values = np.stack([b.values_at(ts) for b in f.bases], axis=0)
-        return coeffs[outcome] @ basis_values
-
     def matrix_evaluate(ts: np.ndarray) -> np.ndarray:
         basis_values = np.stack([b.values_at(ts) for b in f.bases], axis=0)
         return coeffs @ basis_values
@@ -101,36 +105,9 @@ def as_pathwise(f: RandomFunction) -> PathwiseRandomFunction:
     return PathwiseRandomFunction(
         space=f.space,
         evaluate=f.evaluate,
-        vector_evaluate=vector_evaluate,
         matrix_evaluate=matrix_evaluate,
-        gauge_family=paired_gauge_family(f),
+        gauge_family=f.gauge_family,
     )
-
-
-def paired_gauge_family(f: RandomFunction) -> GaugeFamily | None:
-    """The gauge family shipped with f, if any.
-
-    A separable function with several family-carrying bases gets their
-    levelwise intersection: one gauge must serve every term (and every
-    outcome) simultaneously.
-    """
-    if isinstance(f, PathwiseRandomFunction):
-        return f.gauge_family
-    families = [b.gauge_family for b in f.bases if b.gauge_family is not None]
-    if not families:
-        return None
-    return intersect_families(families)
-
-
-def resolve_gauge_family(f: RandomFunction, domain: Interval,
-                         override: GaugeFamily | None = None) -> GaugeFamily:
-    """Priority: explicit override, then the paired family, then uniform."""
-    if override is not None:
-        return override
-    paired = paired_gauge_family(f)
-    if paired is not None:
-        return paired
-    return uniform_gauge_family(domain)
 
 
 def values_matrix(f: PathwiseRandomFunction, ts: np.ndarray) -> np.ndarray:
@@ -173,4 +150,4 @@ def expectation_function(f: RandomFunction) -> ScalarIntegrand:
             return weights @ values_matrix(f, np.asarray(ts, dtype=float))
 
     return ScalarIntegrand(name="mean-path", fn=fn, vector_fn=vector_fn,
-                           gauge_family=paired_gauge_family(f))
+                           gauge_family=f.gauge_family)

@@ -30,8 +30,8 @@ def _parse_params(spec: str, name: str, count: int) -> list[float]:
         raise ScenarioError(f"distribution {spec!r}: bad parameter ({exc})") from None
 
 
-def sample_values(spec: str, n: int, seed: int) -> tuple[float, ...]:
-    """Draw ``n`` coefficient values for a distribution spec string.
+def check_distribution(spec) -> tuple[str, list[float]]:
+    """Validate a distribution spec without drawing: (kind, parameters).
 
     Supported specs:
 
@@ -40,23 +40,30 @@ def sample_values(spec: str, n: int, seed: int) -> tuple[float, ...]:
     * ``"uniform01"``      -- seeded draws in [0, 1).
     * ``"uniform A|B"``    -- seeded draws in [A, B).
     """
-    if n < 1:
-        raise ScenarioError(f"sample size must be >= 1, got {n}")
+    if not isinstance(spec, str):
+        raise ScenarioError(f"distribution {spec!r}: expected a string")
     spec = spec.strip()
     if spec.startswith("two-point"):
-        a, b = _parse_params(spec, "two-point", 2)
-        return tuple(a if i % 2 == 0 else b for i in range(n))
+        return "two-point", _parse_params(spec, "two-point", 2)
     if spec == "uniform01":
-        rng = _random.Random(seed)
-        return tuple(rng.random() for _ in range(n))
+        return "uniform", [0.0, 1.0]
     if spec.startswith("uniform"):
-        a, b = _parse_params(spec, "uniform", 2)
-        rng = _random.Random(seed)
-        return tuple(a + (b - a) * rng.random() for _ in range(n))
+        return "uniform", _parse_params(spec, "uniform", 2)
     raise ScenarioError(
         f"unknown distribution {spec!r}; "
         "known: 'two-point A|B', 'uniform01', 'uniform A|B'"
     )
+
+
+def sample_values(spec: str, n: int, seed: int) -> tuple[float, ...]:
+    """Draw ``n`` values for a spec (see :func:`check_distribution`)."""
+    if n < 1:
+        raise ScenarioError(f"sample size must be >= 1, got {n}")
+    kind, (a, b) = check_distribution(spec)
+    if kind == "two-point":
+        return tuple(a if i % 2 == 0 else b for i in range(n))
+    rng = _random.Random(seed)
+    return tuple(a + (b - a) * rng.random() for _ in range(n))
 
 
 def sample_space(spec: str, n: int, seed: int

@@ -32,9 +32,10 @@ from .probability import (
 )
 from .quadrature import (
     DEFAULT_MAX_LEVELS,
-    QuadratureResult,
+    Settle,
     kh_integrate,
-    kh_levels,
+    level_pass,
+    resolve_gauge_family,
     riemann_sum_scalar,
 )
 from .random_functions import (
@@ -43,7 +44,6 @@ from .random_functions import (
     SeparableRandomFunction,
     as_pathwise,
     expectation_function,
-    resolve_gauge_family,
     values_matrix,
 )
 
@@ -97,6 +97,13 @@ class StochasticIntegralResult:
         }
 
 
+def _combine(f: SeparableRandomFunction, scalars) -> RandomVariable:
+    """sum_k C_k * scalars[k], outcome by outcome, summed with fsum."""
+    return RandomVariable(space=f.space, values=tuple(
+        math.fsum(c.values[i] * s for c, s in zip(f.coefficients, scalars))
+        for i in range(f.space.size)))
+
+
 def random_riemann_sum(f: RandomFunction, division: TaggedDivision) -> RandomVariable:
     """Outcome-wise Riemann sum of f over the division.
 
@@ -105,12 +112,7 @@ def random_riemann_sum(f: RandomFunction, division: TaggedDivision) -> RandomVar
     with tag evaluation, so the identity is algebraic, not numerical.
     """
     if isinstance(f, SeparableRandomFunction):
-        scalar_sums = [riemann_sum_scalar(b, division) for b in f.bases]
-        values = tuple(
-            math.fsum(c.values[i] * s for c, s in zip(f.coefficients, scalar_sums))
-            for i in range(f.space.size)
-        )
-        return RandomVariable(space=f.space, values=values)
+        return _combine(f, [riemann_sum_scalar(b, division) for b in f.bases])
     matrix = values_matrix(f, division.tags)
     bad = ~np.isfinite(matrix)
     if bad.any():
@@ -131,40 +133,27 @@ def _check_parameters(max_levels: int | None = None, **positive: float) -> None:
         raise ValueError(f"max_levels must be >= 0, got {max_levels}")
 
 
-def _levels(f: RandomFunction, family: GaugeFamily, domain: Interval,
-            start: int, stop: int):
-    """The one pass over gauge levels: (level, gauge, division, sums of f)."""
-    for level in range(start, stop + 1):
-        gauge = family(level)
-        division = cousin_partition(gauge, domain)
-        yield level, gauge, division, random_riemann_sum(f, division)
+def _levels(f: RandomFunction, domain: Interval,
+            gauge_family: GaugeFamily | None, start: int, stop: int):
+    """The level pass, under f's resolved family, with f's outcome sums."""
+    return level_pass(lambda division: random_riemann_sum(f, division),
+                      resolve_gauge_family(f, domain, gauge_family), domain,
+                      start, stop)
 
 
 def _settle(levels, tol: float):
-    """Freeze each outcome at its first successive-level agreement within tol.
-
-    Consumes items (level, ..., sums) until every outcome has settled or the
-    items run out; an outcome that never settles keeps its last sum and is
-    failed.  Returns (integral, failed, final level, the items resumed at
-    the final one), so the final division and sums are handed on, not rebuilt.
-    """
+    """Settle the outcome sums of items (level, ..., sums) until every
+    outcome has settled or the items run out (the rest are failed).  Returns
+    (integral, failed, final level, the items resumed at the final one), so
+    the final division and sums are handed on, not rebuilt."""
     levels = iter(levels)
-    previous = None
+    rule = Settle(tol)
     for item in levels:
-        sums = item[-1].to_array()
-        if previous is None:
-            frozen, settled = sums.copy(), np.zeros(sums.shape, dtype=bool)
-        else:
-            newly = (~settled) & (np.abs(sums - previous) <= tol)
-            frozen[newly] = sums[newly]
-            settled |= newly
-            if settled.all():
-                break
-        previous = sums
-    frozen[~settled] = sums[~settled]
+        if rule.feed(item[-1].to_array()):
+            break
     integral = RandomVariable(space=item[-1].space,
-                              values=tuple(float(v) for v in frozen))
-    failed = tuple(int(i) for i in np.nonzero(~settled)[0])
+                              values=tuple(float(v) for v in rule.values))
+    failed = tuple(int(i) for i in np.nonzero(~rule.settled)[0])
     return integral, failed, item[0], chain((item,), levels)
 
 
@@ -187,6 +176,15 @@ def _pair_rows(eps: float | None, eta: float | None, tol: float):
     return rows
 
 
+def _retagged_sums(f: RandomFunction, base: TaggedDivision, gauge,
+                   base_sums: RandomVariable) -> RandomVariable:
+    """Sums of f over base re-tagged with reversed preference; a re-tagging
+    that moves no tag is base itself, whose sums are reused."""
+    retagged = repick_tags(base, gauge)
+    same = np.array_equal(retagged.tags, base.tags)
+    return base_sums if same else random_riemann_sum(f, retagged)
+
+
 def _certify(f_for_sums: RandomFunction, integral: RandomVariable,
              domain: Interval, levels, pairs,
              ) -> tuple[tuple[CertificateRow, ...], bool]:
@@ -205,7 +203,7 @@ def _certify(f_for_sums: RandomFunction, integral: RandomVariable,
     for _, gauge, base, base_sums in islice(levels, _VERIFY_EXTRA_LEVELS + 1):
         all_sums = (
             base_sums,
-            random_riemann_sum(f_for_sums, repick_tags(base, gauge)),
+            _retagged_sums(f_for_sums, base, gauge, base_sums),
             random_riemann_sum(f_for_sums, cousin_partition(
                 gauge, domain, split=_FRESH_SPLIT)),
         )
@@ -241,27 +239,19 @@ def integrate_separable(f: SeparableRandomFunction, domain: Interval,
     domain = Interval.coerce(domain)
     if not isinstance(f, SeparableRandomFunction):
         raise TypeError("integrate_separable needs a separable random function")
-    scalar_results: list[QuadratureResult] = []
+    scalar_results = []
     for k, basis in enumerate(f.bases):
-        res = kh_integrate(basis, domain, tol, gauge_family=basis.gauge_family,
-                           max_levels=max_levels)
+        res = kh_integrate(basis, domain, tol, max_levels=max_levels)
         if not res.converged:
-            raise NonConvergenceError(
-                f"basis {k} ({basis.name!r}) did not converge within the level budget",
-                index=k,
-            )
+            raise NonConvergenceError(f"basis {k} ({basis.name!r}) did not "
+                                      "converge within the level budget", index=k)
         scalar_results.append(res)
-    values = tuple(
-        math.fsum(c.values[i] * r.value
-                  for c, r in zip(f.coefficients, scalar_results))
-        for i in range(f.space.size)
-    )
-    integral = RandomVariable(space=f.space, values=values)
+    integral = _combine(f, [r.value for r in scalar_results])
 
     level = max(r.refinement_levels for r in scalar_results)
-    levels = _levels(f, resolve_gauge_family(f, domain), domain, level,
-                     max_levels)
-    rows, ok = _certify(f, integral, domain, levels, _pair_rows(None, None, tol))
+    rows, ok = _certify(f, integral, domain,
+                        _levels(f, domain, None, level, max_levels),
+                        _pair_rows(None, None, tol))
     return StochasticIntegralResult(
         integral=integral, certificate=rows, method="separable",
         verified=ok, levels_used=level,
@@ -288,9 +278,8 @@ def integrate_pathwise(f: RandomFunction, domain: Interval, eps: float,
     _check_parameters(max_levels, eps=eps, eta=eta, tol=tol)
     domain = Interval.coerce(domain)
     view = as_pathwise(f)
-    family = resolve_gauge_family(f, domain, gauge_family)
     integral, failed, level, levels = _settle(
-        _levels(view, family, domain, 0, max_levels), tol)
+        _levels(view, domain, gauge_family, 0, max_levels), tol)
     rows, tails_ok = _certify(view, integral, domain, levels,
                               _pair_rows(eps, eta, tol))
     return StochasticIntegralResult(
@@ -309,10 +298,9 @@ def convergence_tails(f: RandomFunction, domain: Interval, eps: float,
     divisions; no certificate is computed."""
     _check_parameters(max_levels, eps=eps, tol=tol)
     domain = Interval.coerce(domain)
-    view = as_pathwise(f)
-    family = resolve_gauge_family(f, domain, gauge_family)
     per_level = [(level, division.mesh, sums) for level, _, division, sums
-                 in _levels(view, family, domain, 0, max_levels)]
+                 in _levels(as_pathwise(f), domain, gauge_family, 0,
+                            max_levels)]
     integral = _settle(per_level, tol)[0]
     return tuple((level, mesh, deviation_probability(sums, integral, eps))
                  for level, mesh, sums in per_level)
@@ -466,6 +454,21 @@ def _domination_violation(view: PathwiseRandomFunction, ts: np.ndarray,
     return float(ts[col]), outcomes
 
 
+def _fubini_rhs(view: PathwiseRandomFunction, stream, dominator: RandomVariable,
+                domain: Interval, tol: float):
+    """(mean, verified, final tags' domination violation, their count, bound
+    margin max |S| - A (b - a)) of the pathwise integral settled on stream."""
+    integral, failed, _, levels = _settle(stream, tol)
+    final = _, _, division, sums = next(levels)
+    violation = _domination_violation(view, division.tags, dominator)
+    margins = np.abs(sums.to_array()) - dominator.to_array() * domain.width
+    margin = float(np.max(margins[np.array(view.space.weights) > 0]))
+    _, tails_ok = _certify(view, integral, domain, chain((final,), levels),
+                           _pair_rows(1e-3, DEFAULT_ETA, tol))
+    return (expectation(integral), tails_ok and not failed, violation,
+            division.pieces, margin)
+
+
 def fubini_check(f: RandomFunction, domain: Interval,
                  dominator: RandomVariable, tol: float,
                  grid_points: int = 257,
@@ -497,48 +500,37 @@ def fubini_check(f: RandomFunction, domain: Interval,
     violation = _domination_violation(view, grid, dominator)
 
     mean_fn = expectation_function(f)
-    lhs = rhs = diff = None
-    bound_ok = bound_margin = None
+    lhs = rhs = diff = bound_ok = bound_margin = None
     lhs_converged = rhs_verified = None
     checked_points = grid.size
 
     if violation is None:
-        # LHS: drive the scalar quadrature manually to keep the final
-        # division, whose tags join the hypothesis grid.
-        previous = None
-        lhs_converged = False
-        final_division = None
-        for level, division, value in kh_levels(mean_fn, domain,
-                                                max_levels=max_levels):
-            final_division = division
-            if previous is not None and abs(value - previous) <= tol:
-                lhs = value
-                lhs_converged = True
-                break
-            previous = value
-            lhs = value
-        violation = _domination_violation(view, final_division.tags, dominator)
-        checked_points += final_division.tags.size
+        # One pass serves both sides: each division feeds the LHS the mean
+        # path's sum until it settles, the RHS the outcome sums it needs.
+        mean, mean_tags, rhs_open = Settle(tol), None, True
+
+        def sums_of(division):
+            nonlocal mean_tags
+            if not mean.done:
+                mean.feed(riemann_sum_scalar(mean_fn, division))
+                mean_tags = division.tags
+            return random_riemann_sum(view, division) if rhs_open else None
+
+        stream = level_pass(sums_of, resolve_gauge_family(f, domain), domain,
+                            0, max_levels)
+        rhs_side = _fubini_rhs(view, stream, dominator, domain, tol)
+        rhs_open = False
+        while not mean.done and next(stream, None) is not None:
+            pass
+        lhs, lhs_converged = float(mean.values[0]), mean.done
+        violation = _domination_violation(view, mean_tags, dominator)
+        checked_points += mean_tags.size
 
     if violation is None:
-        # RHS: the integration pass hands on its final division, whose tags
-        # join the hypothesis grid and whose sums meet the dominating bound.
-        integral, failed, _, levels = _settle(
-            _levels(view, resolve_gauge_family(f, domain), domain, 0,
-                    max_levels), tol)
-        final = _, _, division, sums = next(levels)
-        violation = _domination_violation(view, division.tags, dominator)
-        checked_points += division.tags.size
+        rhs, rhs_verified, violation, rhs_points, margin = rhs_side
+        checked_points += rhs_points
         if violation is None:
-            cap = dominator.to_array() * domain.width
-            margins = np.abs(sums.to_array()) - cap
-            positive = np.array(view.space.weights) > 0
-            bound_margin = float(np.max(margins[positive]))
-            bound_ok = bool(bound_margin <= 0.0)
-        _, tails_ok = _certify(view, integral, domain, chain((final,), levels),
-                               _pair_rows(1e-3, DEFAULT_ETA, tol))
-        rhs = expectation(integral)
-        rhs_verified = tails_ok and not failed
+            bound_margin, bound_ok = margin, bool(margin <= 0.0)
 
     hypothesis_ok = violation is None
     if hypothesis_ok:

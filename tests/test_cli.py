@@ -206,6 +206,24 @@ class TestScenarioFiles:
                            "--seed", "2")
         assert rep1["result"]["integral"] != rep2["result"]["integral"]
 
+    @pytest.mark.parametrize("distribution", ["nonsense", 7, "uniform 1"])
+    def test_unknown_space_distribution_rejected(self, capsys, tmp_path,
+                                                 distribution):
+        scenario = {
+            "space": {"sample": {"distribution": distribution, "n": 16}},
+            "function": {"form": "separable",
+                         "terms": [{"values": {"sample": {
+                             "distribution": "uniform01"}},
+                             "basis": "linear"}]},
+        }
+        code, out, err = run_cli(capsys, "integrate-prob", "--scenario",
+                                 self.write(tmp_path, scenario))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("gaugeprob: error: "
+                              "scenario.space.sample.distribution: ")
+        assert "Traceback" not in err
+
     def test_malformed_json_names_line(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\n  \"domain\": [0, 1\n", encoding="utf-8")

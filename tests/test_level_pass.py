@@ -1,12 +1,16 @@
-"""The pathwise level pass builds each division once and hands it on."""
+"""The level pass builds each division once and hands it on."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
 
 from gaugeprob import (
+    DiscreteProbabilitySpace,
     Interval,
+    PathwiseRandomFunction,
+    RandomVariable,
     as_pathwise,
     catalog,
     cousin_partition,
@@ -14,10 +18,13 @@ from gaugeprob import (
     fubini_check,
     integrate_pathwise,
     integrate_separable,
+    kh_integrate,
     kh_levels,
+    quadrature,
     random_riemann_sum,
     resolve_gauge_family,
     stochastic,
+    uniform_gauge_family,
 )
 from gaugeprob.cli import main
 from gaugeprob.stochastic import convergence_tails
@@ -28,7 +35,8 @@ UNIT = Interval(0.0, 1.0)
 @pytest.fixture
 def built(monkeypatch):
     """Record (builder, pieces, points bytes, tags bytes) of every division
-    that the stochastic layer builds or re-tags.
+    that the level pass (in quadrature) or the stochastic layer builds or
+    re-tags.
 
     The builder is part of the entry: a re-tagging legitimately equals its
     base wherever only the midpoint is accepted (constant gauges).
@@ -43,9 +51,11 @@ def built(monkeypatch):
             return division
         return wrapper
 
-    for name in ("cousin_partition", "repick_tags"):
-        monkeypatch.setattr(stochastic, name,
-                            recording(name, getattr(stochastic, name)))
+    for module, name in ((quadrature, "cousin_partition"),
+                         (stochastic, "cousin_partition"),
+                         (stochastic, "repick_tags")):
+        monkeypatch.setattr(module, name,
+                            recording(name, getattr(module, name)))
     return record
 
 
@@ -65,6 +75,67 @@ def test_no_division_built_twice(built, identifier, run):
     RUNS[run](catalog.random_entry(identifier))
     assert built
     assert len(set(built)) == len(built)
+
+
+def late_mean_function():
+    """cos(2 pi m t) with m = (8, 4) on two equally weighted outcomes.
+
+    Both outcomes settle by level 3 (m = 8 falsely, at 1.0, on sums whose
+    tags alias its period); the mean path settles only at level 4.
+    """
+    space = DiscreteProbabilitySpace.uniform(("w1", "w2"))
+    m = np.array([8.0, 4.0])
+    return PathwiseRandomFunction(
+        space=space,
+        evaluate=lambda t, i: float(np.cos(2.0 * np.pi * m[i] * t)),
+        matrix_evaluate=lambda ts: np.cos(2.0 * np.pi * np.outer(m, ts)),
+    ), RandomVariable(space=space, values=(1.0, 1.0))
+
+
+def test_fubini_sides_share_divisions_when_the_mean_settles_late(built):
+    f, dominator = late_mean_function()
+    report = fubini_check(f, UNIT, dominator, 1e-6)
+    assert (report.lhs_converged, report.rhs_verified, report.passed) == (
+        True, False, False)
+    # Chebyshev grid, then the LHS's level-4 and the RHS's level-3 tags.
+    assert report.grid_points == 257 + 32 + 16
+    assert len(set(built)) == len(built)
+
+
+def test_unmoved_retagging_is_not_summed_again(monkeypatch):
+    """Under uniform halving every re-tagging equals its base, so each
+    certificate level sums only the off-center division afresh."""
+    calls = {"sums": 0, "retags": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(stochastic, "random_riemann_sum", counting(
+        "sums", stochastic.random_riemann_sum))
+    monkeypatch.setattr(stochastic, "repick_tags", counting(
+        "retags", stochastic.repick_tags))
+    entry = catalog.random_entry("linear-coeff")
+    res = integrate_pathwise(entry.function, entry.domain, 1e-3, 1e-2, 1e-6,
+                             gauge_family=uniform_gauge_family(entry.domain))
+    assert calls["retags"] >= 1
+    # levels 0..levels_used, then per certificate level the fresh division
+    # and, past the first, the next level of the pass.
+    assert calls["sums"] == res.levels_used + 2 * calls["retags"]
+
+
+def test_each_level_is_logged(caplog):
+    with caplog.at_level(logging.INFO, logger="gaugeprob"):
+        res = kh_integrate(lambda t: t * t, UNIT, 1e-15, max_levels=3)
+    records = [r.getMessage() for r in caplog.records if r.name == "gaugeprob"]
+    assert res.refinement_levels == 3
+    assert len(records) == 4
+    for level, message in enumerate(records):
+        assert message.startswith(
+            f"level {level}: {2 ** (level + 1)} pieces, built in ")
+        assert " s, summed in " in message
 
 
 @pytest.mark.parametrize("identifier, extra", [
