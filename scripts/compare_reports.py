@@ -1,4 +1,4 @@
-"""Compare two source trees' CLI reports, exit codes and stderr.
+"""Compare two source trees' reports, exit codes and stderr.
 
     python scripts/compare_reports.py OLD_TREE NEW_TREE
 
@@ -7,8 +7,11 @@ worker process of its own: every command goes through
 ``gaugeprob.cli.main`` in-process, with ``--out`` into a temporary
 directory.  The reports are compared as text with the ``generated_at`` line
 removed, together with the exit code and what the command wrote to stderr.
-Every command that differs is printed; the exit status is 0 only when none
-does.  Scenario files, including the sampled-separable scenarios that
+After the CLI commands, the same worker runs the library cases: library
+calls on functions and gauges built in code, the route no CLI command
+takes, whose ``as_dict()`` (or dataclass fields) are compared as JSON.
+Every command or case that differs is printed; the exit status is 0 only
+when none does.  Scenario files, including the sampled scenarios that
 ``bench/inputs.py`` generates, are written to the same temporary directory,
 which is removed afterwards.
 """
@@ -107,11 +110,11 @@ def gate_commands(scenario_dir: Path) -> list[list[str]]:
 
 
 # Runs inside the worker process: argv is (src dir, commands file, out dir,
-# results file).
+# results file, scenario dir).
 WORKER = r'''
 import contextlib, io, json, sys, traceback
 from pathlib import Path
-src, commands_file, out_dir, results_file = sys.argv[1:]
+src, commands_file, out_dir, results_file, scenario_dir = sys.argv[1:]
 sys.path.insert(0, src)
 import gaugeprob
 from gaugeprob.cli import main
@@ -133,6 +136,85 @@ for index, argv in enumerate(json.loads(Path(commands_file).read_text())):
                          out.read_text(encoding="utf-8").splitlines(True)
                          if '"generated_at"' not in line)
     results.append({"exit": code, "stderr": err.getvalue(), "report": report})
+# Then the library calls.  They use only API that both trees accept: a
+# pathwise function given `evaluate` plus `matrix_evaluate` (as
+# bench/workloads.py builds it) on the sampled-pathwise seed-1 inputs, an
+# `evaluate`-only function, bare callables and a `gauge_from_delta` family.
+# `library_cases(dir)` returns (name, thunk) pairs; each thunk returns a
+# JSON-ready dict.
+import dataclasses, math
+import numpy as np
+from gaugeprob import (DiscreteProbabilitySpace, GaugeFamily, Interval,
+                       PathwiseRandomFunction, RandomVariable, catalog,
+                       fubini_check, gauge_from_delta, integrate_pathwise,
+                       kh_integrate, verify_uniqueness)
+
+def _random_calls(label, f, domain, dominator, eps, eta, tol):
+    strategies = tuple(catalog.gauge_family(name, domain)
+                       for name in ("uniform", "uniform-2/3"))
+    return [
+        (f"integrate_pathwise {label}", lambda: integrate_pathwise(
+            f, domain, eps, eta, tol).as_dict()),
+        (f"verify_uniqueness {label}", lambda: verify_uniqueness(
+            f, domain, strategies, eps, eta, tol).as_dict()),
+        (f"fubini_check {label}", lambda: fubini_check(
+            f, domain, dominator, tol).as_dict()),
+    ]
+
+def library_cases(scenario_dir):
+    base = scenario_dir / "sampled-pathwise-1"
+    scenario = json.loads((base / "scenario.json").read_text())
+    arrays = json.loads((base / "arrays.json").read_text())
+    a, b = np.array(arrays["a"]), np.array(arrays["b"])
+    space = DiscreteProbabilitySpace.from_dict(scenario["space"])
+    sampled = PathwiseRandomFunction(
+        space=space,
+        evaluate=lambda t, i: math.cos(a[i] * t + b[i]),
+        matrix_evaluate=lambda ts: np.cos(np.multiply.outer(a, ts) + b[:, None]))
+    dominator = RandomVariable(space=space,
+                               values=scenario["dominator"]["values"])
+    domain = Interval.coerce(scenario["domain"])
+    cases = _random_calls("sampled-pathwise-1", sampled, domain, dominator,
+                          scenario["eps"], scenario["eta"], scenario["tol"])
+
+    two = DiscreteProbabilitySpace.uniform(("w1", "w2"))
+    pointwise = PathwiseRandomFunction(
+        space=two,
+        evaluate=lambda t, i: (i + 1.0) * math.sin(3.0 * t) + t * t)
+    unit = Interval(0.0, 1.0)
+    bound = RandomVariable(space=two, values=(2.0, 3.0))
+    cases += _random_calls("evaluate-only", pointwise, unit, bound,
+                           1e-3, 1e-2, 1e-6)
+
+    family = GaugeFamily(name="delta", at_level=lambda m: gauge_from_delta(
+        lambda t, m=m: (0.3 + 0.2 * t) * 2.0 ** -m))
+    fields = dataclasses.asdict
+    cases += [
+        ("kh_integrate lambda t: 2.0",
+         lambda: fields(kh_integrate(lambda t: 2.0, Interval(0.0, 3.0), 1e-12))),
+        ("kh_integrate np.sin",
+         lambda: fields(kh_integrate(np.sin, unit, 1e-8))),
+        ("kh_integrate np.sin, gauge_from_delta family",
+         lambda: fields(kh_integrate(np.sin, unit, 1e-6,
+                                     gauge_family=family))),
+        ("integrate_pathwise evaluate-only, gauge_from_delta family",
+         lambda: integrate_pathwise(pointwise, unit, 1e-3, 1e-2, 1e-6,
+                                    gauge_family=family).as_dict()),
+    ]
+    return cases
+
+for name, case in library_cases(Path(scenario_dir)):
+    err = io.StringIO()
+    report = None
+    with contextlib.redirect_stderr(err):
+        try:
+            report = json.dumps(case(), sort_keys=True)
+            code = 0
+        except Exception:
+            traceback.print_exc()
+            code = "exception"
+    results.append({"name": name, "exit": code, "stderr": err.getvalue(),
+                    "report": report})
 Path(results_file).write_text(json.dumps(results), encoding="utf-8")
 '''
 
@@ -141,14 +223,18 @@ def _write_scenarios(scenario_dir: Path, env: dict) -> None:
     for name, data in SCENARIOS.items():
         (scenario_dir / f"{name}.json").write_text(json.dumps(data),
                                                    encoding="utf-8")
-    for seed in SAMPLED_SEEDS:
-        out = scenario_dir / f"sampled-separable-{seed}"
+    def generate(workload, seed):
+        out = scenario_dir / f"{workload}-{seed}"
         subprocess.run([sys.executable, str(REPO / "bench" / "inputs.py"),
-                        "--workload", "sampled-separable", "--seed", str(seed),
+                        "--workload", workload, "--seed", str(seed),
                         "--out", str(out)], check=True, env=env,
                        stdout=subprocess.DEVNULL)
-        (out / "scenario.json").rename(
+        return out
+
+    for seed in SAMPLED_SEEDS:
+        (generate("sampled-separable", seed) / "scenario.json").rename(
             scenario_dir / f"sampled-separable-{seed}.json")
+    generate("sampled-pathwise", 1)
 
 
 def main(argv=None) -> int:
@@ -176,7 +262,7 @@ def main(argv=None) -> int:
             workers[side] = subprocess.Popen(
                 [sys.executable, "-c", WORKER, str(tree / "src"),
                  str(tmp / "commands.json"), str(tmp / side),
-                 str(tmp / f"{side}.json")], env=env, cwd=tmp)
+                 str(tmp / f"{side}.json"), str(tmp)], env=env, cwd=tmp)
         failed = [side for side, worker in workers.items() if worker.wait()]
         for side in failed:
             print(f"worker for {trees[side]} failed", file=sys.stderr)
@@ -185,18 +271,26 @@ def main(argv=None) -> int:
         old, new = (json.loads((tmp / f"{side}.json").read_text())
                     for side in ("old", "new"))
 
+        labels = ["gaugeprob " + " ".join(argv).replace(str(tmp), "$TMP")
+                  for argv in commands]
+        labels += [f"library: {result['name']}"
+                   for result in old[len(commands):]]
+        if [r.get("name") for r in old] != [r.get("name") for r in new]:
+            print("the trees ran different library cases", file=sys.stderr)
+            return 1
+
         differing = 0
-        for argv, a, b in zip(commands, old, new):
+        for label, a, b in zip(labels, old, new):
             fields = [key for key in ("exit", "stderr", "report")
                       if a[key] != b[key]]
             if fields:
                 differing += 1
-                shown = " ".join(argv).replace(str(tmp), "$TMP")
-                print(f"DIFFERS ({', '.join(fields)}): gaugeprob {shown}")
+                print(f"DIFFERS ({', '.join(fields)}): {label}")
                 for key in ("exit", "stderr"):
                     if key in fields:
                         print(f"  {key}: {a[key]!r} -> {b[key]!r}")
-    print(f"{differing} of {len(commands)} commands differ")
+    print(f"{differing} of {len(commands)} commands and "
+          f"{len(old) - len(commands)} library cases differ")
     return 1 if differing else 0
 
 

@@ -47,26 +47,13 @@ def _trig_mix(t):
     return np.sin(3.0 * t) + np.cos(2.0 * t)
 
 
-def _osc_antiderivative_scalar(t: float) -> float:
-    if t == 0.0:
-        return 0.0
-    return t * t * math.sin(1.0 / (t * t))
-
-
-def _osc_antiderivative_vector(ts: np.ndarray) -> np.ndarray:
+def _osc_antiderivative(ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     safe = np.where(ts == 0.0, 1.0, ts)
     return np.where(ts == 0.0, 0.0, ts * ts * np.sin(1.0 / (safe * safe)))
 
 
-def _osc_derivative_scalar(t: float) -> float:
-    if t == 0.0:
-        return 0.0
-    inv2 = 1.0 / (t * t)
-    return 2.0 * t * math.sin(inv2) - (2.0 / t) * math.cos(inv2)
-
-
-def _osc_derivative_vector(ts: np.ndarray) -> np.ndarray:
+def _osc_derivative(ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     safe = np.where(ts == 0.0, 1.0, ts)
     inv2 = 1.0 / (safe * safe)
@@ -102,16 +89,7 @@ def _indicator_array() -> np.ndarray:
     return arr
 
 
-@lru_cache(maxsize=1)
-def _indicator_set() -> frozenset:
-    return frozenset(indicator_points())
-
-
-def _indicator_scalar(t: float) -> float:
-    return 1.0 if t in _indicator_set() else 0.0
-
-
-def _indicator_vector(ts: np.ndarray) -> np.ndarray:
+def _indicator(ts: np.ndarray) -> np.ndarray:
     return np.isin(np.asarray(ts, dtype=float), _indicator_array()).astype(float)
 
 
@@ -141,19 +119,13 @@ def osc_singular_family(c0: float = 1e-3, name: str = "osc-singular") -> GaugeFa
         c = c0 * 2.0 ** (-level / 2.0)
         cap = c / 2.0
 
-        def width(t: float) -> tuple[float, float]:
-            if t == 0.0:
-                return w0 / 2.0, w0 / 2.0
-            d = min(steep * t ** 3, c * t * t, cap)
-            return d / 2.0, d / 2.0
-
-        def vector(ts: np.ndarray):
+        def width(ts: np.ndarray):
             d = np.minimum(np.minimum(steep * ts ** 3, c * ts * ts), cap)
             d = np.where(ts == 0.0, w0, d)
             half = d / 2.0
             return half, half
 
-        return Gauge(width=width, vector_width=vector)
+        return Gauge(width=width)
 
     return GaugeFamily(name=name, at_level=at_level)
 
@@ -168,22 +140,17 @@ def indicator_pinch_family(pinch: float = 1e-11, base: float = 0.25,
     the pinch width.
     """
     points = _indicator_array()
-    point_set = _indicator_set()
 
     def at_level(level: int) -> Gauge:
         pw = pinch * 2.0 ** -level
         bw = base * 2.0 ** -level
 
-        def width(t: float) -> tuple[float, float]:
-            d = pw if t in point_set else bw
-            return d / 2.0, d / 2.0
-
-        def vector(ts: np.ndarray):
+        def width(ts: np.ndarray):
             d = np.where(np.isin(ts, points), pw, bw)
             half = d / 2.0
             return half, half
 
-        return Gauge(width=width, vector_width=vector)
+        return Gauge(width=width)
 
     return GaugeFamily(name=name, at_level=at_level)
 
@@ -223,34 +190,22 @@ def gauge_family(identifier: str, domain: Interval) -> GaugeFamily:
 def _scalar_entries() -> dict[str, ScalarIntegrand]:
     return {
         "constant": ScalarIntegrand(
-            name="constant", fn=lambda t: 1.0,
-            vector_fn=lambda ts: np.ones_like(np.asarray(ts, dtype=float)),
-            sup_abs=1.0),
+            name="constant", fn=lambda ts: np.ones_like(ts), sup_abs=1.0),
         "linear": ScalarIntegrand(
-            name="linear", fn=lambda t: t,
-            vector_fn=lambda ts: np.asarray(ts, dtype=float),
-            sup_abs=1.0),
+            name="linear", fn=lambda ts: ts, sup_abs=1.0),
         "monomial2": ScalarIntegrand(
-            name="monomial2", fn=lambda t: t * t,
-            vector_fn=lambda ts: np.asarray(ts, dtype=float) ** 2,
-            sup_abs=1.0),
+            name="monomial2", fn=lambda ts: ts ** 2, sup_abs=1.0),
         "monomial3": ScalarIntegrand(
-            name="monomial3", fn=lambda t: t ** 3,
-            vector_fn=lambda ts: np.asarray(ts, dtype=float) ** 3,
-            sup_abs=1.0),
+            name="monomial3", fn=lambda ts: ts ** 3, sup_abs=1.0),
         "poly-deg5": ScalarIntegrand(
-            name="poly-deg5", fn=_poly5, vector_fn=_poly5,
-            sup_abs=0.5),
+            name="poly-deg5", fn=_poly5, sup_abs=0.5),
         "trig-mix": ScalarIntegrand(
-            name="trig-mix", fn=lambda t: math.sin(3.0 * t) + math.cos(2.0 * t),
-            vector_fn=_trig_mix, sup_abs=2.0),
+            name="trig-mix", fn=_trig_mix, sup_abs=2.0),
         "osc-derivative": ScalarIntegrand(
-            name="osc-derivative", fn=_osc_derivative_scalar,
-            vector_fn=_osc_derivative_vector,
+            name="osc-derivative", fn=_osc_derivative,
             gauge_family=osc_singular_family(), sup_abs=None),
         "finite-indicator": ScalarIntegrand(
-            name="finite-indicator", fn=_indicator_scalar,
-            vector_fn=_indicator_vector,
+            name="finite-indicator", fn=_indicator,
             gauge_family=indicator_pinch_family(), sup_abs=1.0),
     }
 
@@ -414,11 +369,9 @@ class FtcEntry:
 @lru_cache(maxsize=None)
 def _ftc_entries() -> dict[str, FtcEntry]:
     double_linear = ScalarIntegrand(
-        name="double-linear", fn=lambda t: 2.0 * t,
-        vector_fn=lambda ts: 2.0 * np.asarray(ts, dtype=float), sup_abs=2.0)
+        name="double-linear", fn=lambda ts: 2.0 * ts, sup_abs=2.0)
     osc_anti = ScalarIntegrand(
-        name="osc-antiderivative", fn=_osc_antiderivative_scalar,
-        vector_fn=_osc_antiderivative_vector, sup_abs=1.0)
+        name="osc-antiderivative", fn=_osc_antiderivative, sup_abs=1.0)
     entries = {
         "ftc-quadratic": FtcEntry(
             name="ftc-quadratic",

@@ -169,9 +169,12 @@ def _resolve_coefficient(term, index: int, space, seed: int) -> RandomVariable:
             if not (isinstance(sample, dict) and "distribution" in sample):
                 raise ScenarioError(
                     f"{where}.values.sample.distribution: missing")
-            drawn = sample_values(sample["distribution"], space.size,
-                                  int(sample.get("seed", seed)) + index)
-            return RandomVariable(space=space, values=drawn)
+            try:
+                drawn = sample_values(sample["distribution"], space.size,
+                                      int(sample.get("seed", seed)) + index)
+                return RandomVariable(space=space, values=drawn)
+            except (TypeError, ValueError, ScenarioError) as exc:
+                raise ScenarioError(f"{where}.values: {exc}") from None
         if not isinstance(values, list):
             raise ScenarioError(f"{where}.values: expected a list or a sample spec")
         try:

@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import InvalidGaugeError
 
-ScalarWidth = Callable[[float], tuple[float, float]]
-VectorWidth = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+Width = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -53,28 +52,22 @@ class Interval:
 class Gauge:
     """Width pair (alpha(t), beta(t)) defining gamma(t) = (t-alpha, t+beta).
 
-    ``width`` is the scalar evaluator; ``vector_width`` optionally evaluates
-    a whole ndarray of points at once (same semantics, used on hot paths).
-    Evaluators must be pure: the same t always yields the same pair.
+    ``width`` maps an ndarray of points to the pair (alpha, beta); a result
+    that broadcasts to the points' shape, such as a constant, is accepted.
+    The evaluator must be pure: the same t always yields the same pair.
     """
 
-    width: ScalarWidth
-    vector_width: VectorWidth | None = None
+    width: Width
 
     def half_widths(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluate (alpha, beta) over an array of points, validating both."""
+        """Evaluate (alpha, beta) over an array of points, validating both;
+        each comes back with the points' shape (a read-only view)."""
         ts = np.asarray(ts, dtype=float)
-        if self.vector_width is not None:
-            alpha, beta = self.vector_width(ts)
-            alpha = np.asarray(alpha, dtype=float)
-            beta = np.asarray(beta, dtype=float)
-        else:
-            pairs = [self.width(float(t)) for t in ts.ravel()]
-            alpha = np.array([p[0] for p in pairs]).reshape(ts.shape)
-            beta = np.array([p[1] for p in pairs]).reshape(ts.shape)
+        alpha, beta = (np.broadcast_to(np.asarray(w, dtype=float), ts.shape)
+                       for w in self.width(ts))
         bad = ~(np.isfinite(alpha) & np.isfinite(beta) & (alpha > 0) & (beta > 0))
         if bad.any():
-            t_bad = float(np.asarray(ts)[bad].ravel()[0])
+            t_bad = float(ts[bad].ravel()[0])
             raise InvalidGaugeError(
                 f"gauge width must be positive and finite; offending t={t_bad!r}"
             )
@@ -86,25 +79,19 @@ class Gauge:
         return t - float(alpha[0]), t + float(beta[0])
 
 
-def gauge_from_delta(delta: Callable[[float], float],
-                     vector_delta: VectorWidth | None = None) -> Gauge:
+def gauge_from_delta(delta: Callable[[np.ndarray], np.ndarray]) -> Gauge:
     """Symmetric gauge gamma(t) = (t - delta(t)/2, t + delta(t)/2).
 
-    ``delta`` must be strictly positive wherever it is evaluated; violations
-    surface as :class:`InvalidGaugeError` at evaluation time.
+    ``delta`` maps an ndarray of points to their full widths and must be
+    strictly positive wherever it is evaluated; violations surface as
+    :class:`InvalidGaugeError` at evaluation time.
     """
 
-    def width(t: float) -> tuple[float, float]:
-        h = delta(t) / 2.0
+    def width(ts):
+        h = np.asarray(delta(ts), dtype=float) / 2.0
         return h, h
 
-    vector = None
-    if vector_delta is not None:
-        def vector(ts):
-            h = np.asarray(vector_delta(ts), dtype=float) / 2.0
-            return h, h
-
-    return Gauge(width=width, vector_width=vector)
+    return Gauge(width=width)
 
 
 def constant_gauge(width: float) -> Gauge:
@@ -112,27 +99,18 @@ def constant_gauge(width: float) -> Gauge:
     if not (np.isfinite(width) and width > 0):
         raise InvalidGaugeError(f"constant gauge width must be positive, got {width}")
     half = width / 2.0
-
-    def vector(ts):
-        h = np.full(np.shape(ts), half)
-        return h, h
-
-    return Gauge(width=lambda t: (half, half), vector_width=vector)
+    return Gauge(width=lambda ts: (half, half))
 
 
-def delta_from_gauge(gauge: Gauge) -> Callable[[float], float]:
-    """Width function delta(t) = min(alpha(t), beta(t)).
+def delta_from_gauge(gauge: Gauge) -> Callable[[np.ndarray], np.ndarray]:
+    """Width function delta(t) = min(alpha(t), beta(t)), on arrays of points
+    like the ``delta`` that :func:`gauge_from_delta` takes.
 
     The min makes the fineness implication hold pointwise: any piece of width
     below delta at its own tag sits inside gamma(tag), regardless of where
     the tag falls within the piece.
     """
-
-    def delta(t: float) -> float:
-        alpha, beta = gauge.half_widths(np.array([t]))
-        return float(min(alpha[0], beta[0]))
-
-    return delta
+    return lambda ts: np.minimum(*gauge.half_widths(ts))
 
 
 def gauge_intersection(g1: Gauge, g2: Gauge) -> Gauge:
@@ -141,20 +119,8 @@ def gauge_intersection(g1: Gauge, g2: Gauge) -> Gauge:
     The result is finer than both inputs, so any division sharp for it is
     sharp for each input.
     """
-
-    def width(t: float) -> tuple[float, float]:
-        a1, b1 = g1.width(t)
-        a2, b2 = g2.width(t)
-        return min(a1, a2), min(b1, b2)
-
-    vector = None
-    if g1.vector_width is not None and g2.vector_width is not None:
-        def vector(ts):
-            a1, b1 = g1.vector_width(ts)
-            a2, b2 = g2.vector_width(ts)
-            return np.minimum(a1, a2), np.minimum(b1, b2)
-
-    return Gauge(width=width, vector_width=vector)
+    return Gauge(width=lambda ts: tuple(map(np.minimum, g1.width(ts),
+                                            g2.width(ts))))
 
 
 @dataclass(frozen=True)

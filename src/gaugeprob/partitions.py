@@ -87,11 +87,9 @@ def is_sharp(division: TaggedDivision, gauge: Gauge) -> bool:
 
 
 def is_fine(division: TaggedDivision, delta) -> bool:
-    """True iff every piece width is below delta evaluated at its own tag."""
-    widths = division.widths
-    return all(
-        w < delta(float(t)) for w, t in zip(widths, division.tags)
-    )
+    """True iff every piece width is below delta evaluated at its own tag;
+    ``delta`` maps the tag array to widths."""
+    return bool(np.all(division.widths < delta(division.tags)))
 
 
 def cousin_partition(gauge: Gauge, domain: Interval,

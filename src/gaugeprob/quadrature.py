@@ -27,39 +27,30 @@ log = logging.getLogger("gaugeprob")
 class ScalarIntegrand:
     """A named real function of one variable with optional extras.
 
-    ``vector_fn`` evaluates a whole tag array at once.  ``gauge_family``
-    pairs the integrand with the gauge schedule that integrates it (needed
-    for integrands that no constant-width family can handle).  ``sup_abs``
-    is an upper bound for |fn| on ``domain`` when one is finite, used to
-    assemble dominating variables.
+    ``fn`` maps an ndarray of tags to their values; a result that
+    broadcasts to the tags' shape, such as a constant, is accepted.
+    ``gauge_family`` pairs the integrand with the gauge schedule that
+    integrates it (needed for integrands that no constant-width family can
+    handle).  ``sup_abs`` is an upper bound for |fn| on ``domain`` when one
+    is finite, used to assemble dominating variables.
     """
 
     name: str
-    fn: Callable[[float], float]
-    vector_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    fn: Callable[[np.ndarray], np.ndarray]
     gauge_family: GaugeFamily | None = None
     sup_abs: float | None = None
     domain: Interval = Interval(0.0, 1.0)
 
-    def __call__(self, t: float) -> float:
-        return self.fn(t)
-
     def values_at(self, ts: np.ndarray) -> np.ndarray:
-        if self.vector_fn is not None:
-            return np.asarray(self.vector_fn(ts), dtype=float)
-        return np.array([self.fn(float(t)) for t in ts], dtype=float)
+        return _evaluate(self, ts)
 
 
 def _evaluate(phi, tags: np.ndarray) -> np.ndarray:
-    if isinstance(phi, ScalarIntegrand):
-        return phi.values_at(tags)
-    try:
-        values = np.asarray(phi(tags), dtype=float)
-        if values.shape == tags.shape:
-            return values
-    except Exception:
-        pass
-    return np.array([phi(float(t)) for t in tags], dtype=float)
+    """phi, a :class:`ScalarIntegrand` or a bare array callable, called once
+    on the whole tag array; the result is broadcast to the tags' shape."""
+    fn = phi.fn if isinstance(phi, ScalarIntegrand) else phi
+    tags = np.asarray(tags, dtype=float)
+    return np.broadcast_to(np.asarray(fn(tags), dtype=float), tags.shape)
 
 
 def riemann_sum_scalar(phi, division: TaggedDivision) -> float:

@@ -5,13 +5,14 @@ Two concrete forms:
 * ``SeparableRandomFunction`` -- sum_k C_k(omega) * phi_k(t) with random
   coefficients and deterministic basis functions; integrates exactly
   through the scalar integrals of its bases.
-* ``PathwiseRandomFunction`` -- a bare evaluator (t, outcome index) -> real;
-  the general form, integrated path by path under one shared gauge.
+* ``PathwiseRandomFunction`` -- a bare evaluator of its (outcomes x tags)
+  value matrix; the general form, integrated path by path under one shared
+  gauge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -49,12 +50,6 @@ class SeparableRandomFunction:
     def terms(self) -> int:
         return len(self.coefficients)
 
-    def evaluate(self, t: float, outcome: int) -> float:
-        return sum(
-            c.values[outcome] * basis.fn(t)
-            for c, basis in zip(self.coefficients, self.bases)
-        )
-
     def coefficient_matrix(self) -> np.ndarray:
         return np.stack([c.to_array() for c in self.coefficients], axis=1)
 
@@ -71,16 +66,31 @@ class SeparableRandomFunction:
 class PathwiseRandomFunction:
     """f given by a pure pathwise evaluator.
 
-    ``vector_evaluate`` optionally maps (tag array, outcome) -> value array;
-    ``matrix_evaluate`` optionally maps a tag array to the full
-    (outcomes x tags) value matrix.  Both must agree with ``evaluate``.
+    ``matrix_evaluate`` maps a tag array to the full (outcomes x tags) value
+    matrix.  A pointwise ``evaluate(t, outcome)`` may be given instead, at
+    construction only: it is lifted once to the loop over every outcome and
+    tag that fills the matrix.
     """
 
     space: DiscreteProbabilitySpace
-    evaluate: Callable[[float, int], float]
-    vector_evaluate: Callable[[np.ndarray, int], np.ndarray] | None = None
+    evaluate: InitVar[Callable[[float, int], float] | None] = None
     matrix_evaluate: Callable[[np.ndarray], np.ndarray] | None = None
     gauge_family: GaugeFamily | None = None
+
+    def __post_init__(self, evaluate):
+        if self.matrix_evaluate is not None:
+            return
+        if evaluate is None:
+            raise TypeError("PathwiseRandomFunction needs matrix_evaluate "
+                            "or evaluate")
+        n = self.space.size
+
+        def matrix_evaluate(ts: np.ndarray) -> np.ndarray:
+            return np.array(
+                [[evaluate(float(t), i) for t in ts] for i in range(n)],
+                dtype=float)
+
+        object.__setattr__(self, "matrix_evaluate", matrix_evaluate)
 
 
 RandomFunction = Union[SeparableRandomFunction, PathwiseRandomFunction]
@@ -104,7 +114,6 @@ def as_pathwise(f: RandomFunction) -> PathwiseRandomFunction:
 
     return PathwiseRandomFunction(
         space=f.space,
-        evaluate=f.evaluate,
         matrix_evaluate=matrix_evaluate,
         gauge_family=f.gauge_family,
     )
@@ -112,17 +121,7 @@ def as_pathwise(f: RandomFunction) -> PathwiseRandomFunction:
 
 def values_matrix(f: PathwiseRandomFunction, ts: np.ndarray) -> np.ndarray:
     """All pathwise values as an (outcomes x tags) matrix."""
-    if f.matrix_evaluate is not None:
-        return np.asarray(f.matrix_evaluate(ts), dtype=float)
-    n = f.space.size
-    if f.vector_evaluate is not None:
-        return np.stack(
-            [np.asarray(f.vector_evaluate(ts, i), dtype=float) for i in range(n)],
-            axis=0,
-        )
-    return np.array(
-        [[f.evaluate(float(t), i) for t in ts] for i in range(n)], dtype=float
-    )
+    return np.asarray(f.matrix_evaluate(ts), dtype=float)
 
 
 def expectation_function(f: RandomFunction) -> ScalarIntegrand:
@@ -133,21 +132,12 @@ def expectation_function(f: RandomFunction) -> ScalarIntegrand:
         means = np.array([float(weights @ c.to_array()) for c in f.coefficients])
         bases = f.bases
 
-        def fn(t: float) -> float:
-            return float(sum(m * b.fn(t) for m, b in zip(means, bases)))
-
-        def vector_fn(ts: np.ndarray) -> np.ndarray:
+        def fn(ts: np.ndarray) -> np.ndarray:
             basis_values = np.stack([b.values_at(ts) for b in bases], axis=0)
             return means @ basis_values
 
     else:
-        def fn(t: float) -> float:
-            return float(sum(
-                w * f.evaluate(t, i) for i, w in enumerate(weights)
-            ))
-
-        def vector_fn(ts: np.ndarray) -> np.ndarray:
+        def fn(ts: np.ndarray) -> np.ndarray:
             return weights @ values_matrix(f, np.asarray(ts, dtype=float))
 
-    return ScalarIntegrand(name="mean-path", fn=fn, vector_fn=vector_fn,
-                           gauge_family=f.gauge_family)
+    return ScalarIntegrand(name="mean-path", fn=fn, gauge_family=f.gauge_family)

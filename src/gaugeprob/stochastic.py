@@ -194,19 +194,21 @@ def _certify(f_for_sums: RandomFunction, integral: RandomVariable,
     ``levels`` continues the level pass from the level where integration
     stopped.  Tails are measured on three divisions per level: the
     constructed one, the same pieces re-tagged with reversed preference, and
-    an off-center split.  A pair that keeps failing refines to finer levels
+    an off-center split; a re-tagging that moves no tag hands back the
+    constructed division's sums, whose tail is measured once (the sums are
+    keyed by identity).  A pair that keeps failing refines to finer levels
     (each pair is entitled to its own gauge) until the level or piece budget
     runs out, at which point its row reports the failing tail honestly.
     """
     pending = list(pairs)
     rows: dict[tuple[float, float], CertificateRow] = {}
     for _, gauge, base, base_sums in islice(levels, _VERIFY_EXTRA_LEVELS + 1):
-        all_sums = (
+        all_sums = {id(sums): sums for sums in (
             base_sums,
             _retagged_sums(f_for_sums, base, gauge, base_sums),
             random_riemann_sum(f_for_sums, cousin_partition(
                 gauge, domain, split=_FRESH_SPLIT)),
-        )
+        )}.values()
         still = []
         for (eps, eta) in pending:
             tail = max(

@@ -37,16 +37,10 @@ def simple_gauges(draw):
         lo = draw(st.floats(min_value=0.02, max_value=0.3))
         slope = draw(st.floats(min_value=0.0, max_value=1.0))
         return gauge_from_delta(
-            lambda t, lo=lo, slope=slope: lo + slope * abs(t),
-            vector_delta=lambda ts, lo=lo, slope=slope: lo + slope * np.abs(ts),
-        )
+            lambda ts, lo=lo, slope=slope: lo + slope * np.abs(ts))
     alpha = draw(st.floats(min_value=0.02, max_value=0.8))
     beta = draw(st.floats(min_value=0.02, max_value=0.8))
-    return Gauge(
-        width=lambda t, a=alpha, b=beta: (a, b),
-        vector_width=lambda ts, a=alpha, b=beta: (
-            np.full(np.shape(ts), a), np.full(np.shape(ts), b)),
-    )
+    return Gauge(width=lambda ts, a=alpha, b=beta: (a, b))
 
 
 @pytest.fixture

@@ -59,9 +59,7 @@ def test_criterion_01_sharp_partition_soundness():
             lo = 10.0 ** rng.uniform(math.log10(2e-3), math.log10(0.1))
             slope = rng.uniform(0.05, 1.0)
             gauges.append(gauge_from_delta(
-                lambda t, lo=lo, s=slope: lo + s * t,
-                vector_delta=lambda ts, lo=lo, s=slope: lo + s * ts,
-            ))
+                lambda ts, lo=lo, s=slope: lo + s * ts))
         start = time.perf_counter()
         for gauge in gauges:
             division = cousin_partition(gauge, UNIT)
@@ -222,9 +220,7 @@ def test_criterion_07_constant_gauge_reduction():
         tilted = GaugeFamily(
             name="tilted",
             at_level=lambda m: gauge_from_delta(
-                lambda t, m=m: (0.5 + 0.3 * t) * 2.0 ** -m,
-                vector_delta=lambda ts, m=m: (0.5 + 0.3 * ts) * 2.0 ** -m,
-            ),
+                lambda ts, m=m: (0.5 + 0.3 * ts) * 2.0 ** -m),
         )
         for name in ("linear-coeff", "affine-pair", "quadratic-coeff",
                      "trig-coeff"):

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from gaugeprob import Interval, ScenarioError, is_sharp, cousin_partition
+from gaugeprob import (Interval, ScenarioError, as_pathwise, cousin_partition,
+                       is_sharp)
 from gaugeprob import catalog
+from gaugeprob.random_functions import values_matrix
 
 UNIT = Interval(0.0, 1.0)
 
@@ -36,15 +38,6 @@ def test_unknown_ids_raise_scenario_error():
         catalog.ftc_entry("nope")
     with pytest.raises(ScenarioError):
         catalog.gauge_family("nope", UNIT)
-
-
-def test_scalar_and_vector_paths_agree():
-    ts = np.linspace(0.0, 1.0, 17)
-    for name in catalog.scalar_ids():
-        entry = catalog.scalar_integrand(name)
-        scalar = np.array([entry.fn(float(t)) for t in ts])
-        np.testing.assert_allclose(entry.values_at(ts), scalar, atol=1e-12,
-                                   err_msg=name)
 
 
 def test_sup_bounds_hold_on_a_grid():
@@ -79,8 +72,8 @@ def test_dominators_cover_their_functions():
     for name in catalog.dominated_ids():
         entry = catalog.random_entry(name)
         f = entry.function
-        for i in range(f.space.size):
-            values = np.array([abs(f.evaluate(float(t), i)) for t in ts])
+        matrix = np.abs(values_matrix(as_pathwise(f), ts))
+        for i, values in enumerate(matrix):
             assert np.all(values <= entry.dominator.values[i] + 1e-12), name
 
 

@@ -224,6 +224,26 @@ class TestScenarioFiles:
                               "scenario.space.sample.distribution: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("distribution, detail", [
+        (5, "distribution 5: expected a string"),
+        ("two-point 1|nan", "random variable values must be finite"),
+    ])
+    def test_sampled_coefficient_error_names_its_field(
+            self, capsys, tmp_path, distribution, detail):
+        scenario = {
+            "space": {"sample": {"distribution": "uniform01", "n": 16}},
+            "function": {"form": "separable",
+                         "terms": [{"values": {"sample": {
+                             "distribution": distribution}},
+                             "basis": "linear"}]},
+        }
+        code, out, err = run_cli(capsys, "integrate-prob", "--scenario",
+                                 self.write(tmp_path, scenario))
+        assert code == 1
+        assert out == ""
+        assert err == ("gaugeprob: error: scenario.function.terms[0].values: "
+                       f"{detail}\n")
+
     def test_malformed_json_names_line(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\n  \"domain\": [0, 1\n", encoding="utf-8")

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from gaugeprob import (
@@ -96,7 +97,7 @@ class TestFubiniCheck:
         f = PathwiseRandomFunction(
             space=SPACE,
             evaluate=lambda t, i: (i + 1.0) * t,
-            vector_evaluate=lambda ts, i: (i + 1.0) * ts,
+            matrix_evaluate=lambda ts: np.outer([1.0, 2.0], ts),
         )
         rep = fubini_check(f, UNIT, rv(1.0, 2.0), 1e-6)
         # E f(t,.) = 1.5 t, so both sides are 0.75

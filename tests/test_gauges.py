@@ -88,14 +88,17 @@ class TestDeltaFromGauge:
         delta1 = delta_from_gauge(gauge_from_delta(delta0))
         assert delta1(0.1) == pytest.approx(0.2)
 
+    def test_round_trip_from_gauge(self):
+        g = Gauge(width=lambda ts: (0.1 + ts / 4.0, 0.2))
+        ts = np.linspace(0.0, 1.0, 9)
+        alpha, beta = gauge_from_delta(delta_from_gauge(g)).half_widths(ts)
+        np.testing.assert_array_equal(alpha, np.minimum(0.1 + ts / 4.0, 0.2) / 2)
+        np.testing.assert_array_equal(beta, alpha)
+
     def test_min_rule_brute_force(self):
         # the asymmetric gauge (t-.1, t+.5): any piece of width < .1 is
         # inside gamma(tag) wherever the tag sits in the piece
-        g = Gauge(
-            width=lambda t: (0.1, 0.5),
-            vector_width=lambda ts: (np.full(np.shape(ts), 0.1),
-                                     np.full(np.shape(ts), 0.5)),
-        )
+        g = Gauge(width=lambda ts: (0.1, 0.5))
         delta = delta_from_gauge(g)
         width = 0.99 * delta(0.0)
         for u in np.linspace(0.0, 0.9, 10):
@@ -157,12 +160,23 @@ def test_intersect_families(unit_interval):
         intersect_families([])
 
 
-def test_scalar_fallback_matches_vector():
-    g = gauge_from_delta(lambda t: 0.2 + t,
-                         vector_delta=lambda ts: 0.2 + ts)
-    scalar_only = gauge_from_delta(lambda t: 0.2 + t)
-    ts = np.linspace(0.0, 1.0, 7)
-    a1, b1 = g.half_widths(ts)
-    a2, b2 = scalar_only.half_widths(ts)
-    np.testing.assert_allclose(a1, a2)
-    np.testing.assert_allclose(b1, b2)
+class TestArrayEvaluator:
+    def test_constant_result_broadcasts_to_the_points(self):
+        calls = []
+
+        def width(ts):
+            calls.append(ts.shape)
+            return 0.5, 0.25
+
+        ts = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        alpha, beta = Gauge(width=width).half_widths(ts)
+        assert calls == [(3, 4)]
+        assert alpha.shape == beta.shape == (3, 4)
+        assert np.all(alpha == 0.5) and np.all(beta == 0.25)
+        assert not alpha.flags.writeable and not beta.flags.writeable
+
+    def test_invalid_width_names_t_under_broadcasting(self):
+        g = Gauge(width=lambda ts: (0.1, 0.2 - (ts > 0.65).astype(float)))
+        ts = np.array([[0.1, 0.2, 0.3], [0.6, 0.7, 0.8]])
+        with pytest.raises(InvalidGaugeError, match=r"offending t=0\.7\b"):
+            g.half_widths(ts)

@@ -126,6 +126,23 @@ def test_unmoved_retagging_is_not_summed_again(monkeypatch):
     assert calls["sums"] == res.levels_used + 2 * calls["retags"]
 
 
+def test_each_distinct_division_tail_is_measured_once(monkeypatch):
+    """Under uniform halving every re-tagging hands back the base sums, so
+    each certificate level measures two tails per pair, not three."""
+    measured = []
+
+    def recording(sums, integral, eps):
+        measured.append((sums, eps))  # kept alive, so ids stay distinct
+        return deviation_probability(sums, integral, eps)
+
+    monkeypatch.setattr(stochastic, "deviation_probability", recording)
+    entry = catalog.random_entry("linear-coeff")
+    res = integrate_pathwise(entry.function, entry.domain, 1e-3, 1e-2, 1e-6,
+                             gauge_family=uniform_gauge_family(entry.domain))
+    assert res.verified and measured
+    assert len({(id(sums), eps) for sums, eps in measured}) == len(measured)
+
+
 def test_each_level_is_logged(caplog):
     with caplog.at_level(logging.INFO, logger="gaugeprob"):
         res = kh_integrate(lambda t: t * t, UNIT, 1e-15, max_levels=3)

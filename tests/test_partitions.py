@@ -77,23 +77,18 @@ class TestIsSharp:
 
 class TestCousinPartition:
     def test_constant_gauge_sharp_and_fine(self):
-        g = gauge_from_delta(lambda t: 0.4,
-                             vector_delta=lambda ts: np.full(ts.shape, 0.4))
+        g = gauge_from_delta(lambda ts: np.full(ts.shape, 0.4))
         d = cousin_partition(g, UNIT)
         assert is_sharp(d, g)
         assert d.mesh < 0.4
         assert d.points[0] == 0.0 and d.points[-1] == 1.0
 
     def test_shrinking_gauge_finer_near_origin(self):
-        def width(t):
-            h = t / 2.0 + 0.01
-            return h, h
-
-        def vector(ts):
+        def width(ts):
             h = ts / 2.0 + 0.01
             return h, h
 
-        g = Gauge(width=width, vector_width=vector)
+        g = Gauge(width=width)
         d = cousin_partition(g, UNIT)
         assert is_sharp(d, g)
         widths = d.widths
@@ -116,12 +111,11 @@ class TestCousinPartition:
     def test_depth_cap_raises(self):
         # width collapses around an interior point: no sharp piece can
         # straddle it, and pieces near it shrink forever
-        def width(t):
-            h = max(abs(t - 0.3), 1e-300) / 8.0
+        def width(ts):
+            h = np.maximum(np.abs(ts - 0.3), 1e-300) / 8.0
             return h, h
 
-        g = Gauge(width=width,
-                  vector_width=lambda ts: (np.maximum(np.abs(ts - 0.3), 1e-300) / 8.0,) * 2)
+        g = Gauge(width=width)
         with pytest.raises(PartitionDepthError):
             cousin_partition(g, UNIT)
 

@@ -44,8 +44,8 @@ class TestRiemannSumScalar:
         d = TaggedDivision(points=np.array([0.0, 0.5, 1.0]),
                            tags=np.array([0.25, 0.75]))
 
-        def phi(t):
-            return math.inf if t == 0.75 else 1.0
+        def phi(ts):
+            return np.where(ts == 0.75, math.inf, 1.0)
 
         with pytest.raises(EvaluationError) as err:
             riemann_sum_scalar(phi, d)
@@ -92,23 +92,20 @@ class TestKhIntegrate:
         assert calls == [0, 1]
 
     def test_final_mesh_bound_positive(self):
-        res = kh_integrate(lambda t: math.sin(t), UNIT, 1e-8)
+        res = kh_integrate(np.sin, UNIT, 1e-8)
         assert 0 < res.final_mesh_bound < 1
 
     @settings(max_examples=25)
     @given(st.lists(st.floats(min_value=-2.0, max_value=2.0),
                     min_size=1, max_size=6))
     def test_polynomials_match_closed_form(self, coeffs):
-        def poly(t):
-            return sum(c * t ** k for k, c in enumerate(coeffs))
-
-        def poly_vec(ts):
+        def poly(ts):
             return sum(c * ts ** k for k, c in enumerate(coeffs))
 
         exact = sum(c / (k + 1) for k, c in enumerate(coeffs))
         tol = 1e-7
         res = kh_integrate(
-            ScalarIntegrand(name="poly", fn=poly, vector_fn=poly_vec),
+            ScalarIntegrand(name="poly", fn=poly),
             UNIT, tol)
         assert res.converged
         assert abs(res.value - exact) <= 10 * tol
@@ -122,3 +119,16 @@ def test_kh_levels_yields_divisions_and_sums():
     meshes = [r[1] for r in rows]
     assert all(meshes[i + 1] <= meshes[i] for i in range(len(meshes) - 1))
     assert rows[-1][2] == pytest.approx(0.5, abs=1e-3)
+
+
+def test_bare_callable_is_called_once_on_the_tag_array():
+    calls = []
+
+    def phi(ts):
+        calls.append(ts.shape)
+        return 2.0
+
+    d = TaggedDivision(points=np.linspace(0.0, 1.0, 6),
+                       tags=np.linspace(0.1, 0.9, 5))
+    assert riemann_sum_scalar(phi, d) == pytest.approx(2.0)
+    assert calls == [(5,)]

@@ -20,10 +20,10 @@ from gaugeprob import (
 from gaugeprob.random_functions import values_matrix
 
 SPACE = DiscreteProbabilitySpace.uniform(("w1", "w2"))
-LINEAR = ScalarIntegrand(name="linear", fn=lambda t: t,
-                         vector_fn=lambda ts: np.asarray(ts, dtype=float))
-CONST = ScalarIntegrand(name="one", fn=lambda t: 1.0,
-                        vector_fn=lambda ts: np.ones_like(np.asarray(ts, float)))
+LINEAR = ScalarIntegrand(name="linear",
+                         fn=lambda ts: np.asarray(ts, dtype=float))
+CONST = ScalarIntegrand(name="one",
+                        fn=lambda ts: np.ones_like(np.asarray(ts, float)))
 
 
 def rv(*values):
@@ -92,7 +92,6 @@ class TestPathwiseForm:
         f = PathwiseRandomFunction(
             space=SPACE,
             evaluate=lambda t, i: (i + 1) * t,
-            vector_evaluate=lambda ts, i: (i + 1) * ts,
             matrix_evaluate=lambda ts: np.outer([1.0, 2.0], ts),
         )
         ts = np.linspace(0, 1, 5)
@@ -120,13 +119,18 @@ class TestAsPathwise:
             coefficients=(rv(1.0, 2.0), rv(-1.0, 0.5)),
             bases=(LINEAR, CONST))
         view = as_pathwise(f)
+
+        def value(t, i):
+            return (1.0, 2.0)[i] * t + (-1.0, 0.5)[i]
+
         for t in (0.0, 0.3, 1.0):
             for i in range(2):
-                assert view.evaluate(t, i) == pytest.approx(f.evaluate(t, i))
+                assert values_matrix(view, np.array([t]))[i, 0] == \
+                    pytest.approx(value(t, i))
         ts = np.linspace(0, 1, 4)
         np.testing.assert_allclose(
             values_matrix(view, ts),
-            [[f.evaluate(t, i) for t in ts] for i in range(2)])
+            [[value(t, i) for t in ts] for i in range(2)])
 
     def test_view_of_view_is_identity(self):
         f = PathwiseRandomFunction(space=SPACE, evaluate=lambda t, i: t)
@@ -137,7 +141,7 @@ class TestExpectationFunction:
     def test_separable_mean(self):
         f = SeparableRandomFunction(coefficients=(rv(1.0, 2.0),), bases=(LINEAR,))
         mean = expectation_function(f)
-        assert mean.fn(0.4) == pytest.approx(1.5 * 0.4)
+        assert mean.fn(np.array([0.4]))[0] == pytest.approx(1.5 * 0.4)
         np.testing.assert_allclose(mean.values_at(np.array([0.0, 1.0])),
                                    [0.0, 1.5])
 
@@ -145,4 +149,34 @@ class TestExpectationFunction:
         f = PathwiseRandomFunction(space=SPACE,
                                    evaluate=lambda t, i: (i + 1) * t * t)
         mean = expectation_function(f)
-        assert mean.fn(0.5) == pytest.approx(1.5 * 0.25)
+        assert mean.fn(np.array([0.5]))[0] == pytest.approx(1.5 * 0.25)
+
+
+class TestPointwiseLift:
+    def test_evaluate_only_is_lifted_at_construction(self):
+        space = DiscreteProbabilitySpace.uniform(3)
+
+        def evaluate(t, i):
+            return math.cos((i + 1) * t) + t / 3.0
+
+        f = PathwiseRandomFunction(space=space, evaluate=evaluate)
+        assert f.matrix_evaluate is not None
+        ts = np.linspace(-1.0, 2.0, 9)
+        loop = np.array([[evaluate(float(t), i) for t in ts] for i in range(3)],
+                        dtype=float)
+        matrix = values_matrix(f, ts)
+        assert matrix.shape == (3, 9)
+        assert np.array_equal(matrix, loop)
+
+    def test_matrix_evaluate_wins_over_evaluate(self):
+        f = PathwiseRandomFunction(
+            space=SPACE, evaluate=lambda t, i: math.nan,
+            matrix_evaluate=lambda ts: np.outer([1.0, 2.0], ts))
+        np.testing.assert_array_equal(values_matrix(f, np.array([0.5])),
+                                      [[0.5], [1.0]])
+
+    def test_no_evaluator_rejected(self):
+        with pytest.raises(TypeError, match="matrix_evaluate or evaluate"):
+            PathwiseRandomFunction(space=SPACE)
+        with pytest.raises(TypeError, match="matrix_evaluate or evaluate"):
+            PathwiseRandomFunction(space=SPACE, evaluate=None)

@@ -110,10 +110,10 @@ class TestIntegratePathwise:
     def test_deterministic_function_collapses_to_scalar(self):
         f = PathwiseRandomFunction(
             space=SPACE, evaluate=lambda t, i: math.sin(t),
-            vector_evaluate=lambda ts, i: np.sin(ts))
+            matrix_evaluate=lambda ts: np.tile(np.sin(ts), (2, 1)))
         tol = 1e-7
         res = integrate_pathwise(f, UNIT, 1e-3, 1e-2, tol)
-        scalar = kh_integrate(lambda t: math.sin(t), UNIT, tol)
+        scalar = kh_integrate(np.sin, UNIT, tol)
         for v in res.integral.values:
             assert abs(v - scalar.value) <= tol
 
