@@ -139,15 +139,20 @@ for index, argv in enumerate(json.loads(Path(commands_file).read_text())):
 # Then the library calls.  They use only API that both trees accept: a
 # pathwise function given `evaluate` plus `matrix_evaluate` (as
 # bench/workloads.py builds it) on the sampled-pathwise seed-1 inputs, an
-# `evaluate`-only function, bare callables and a `gauge_from_delta` family.
+# `evaluate`-only function, bare callables, a `gauge_from_delta` family,
+# `integrate_separable` on catalog and sampled separable functions, and the
+# probability kernels and arithmetic on sampled variables.
 # `library_cases(dir)` returns (name, thunk) pairs; each thunk returns a
 # JSON-ready dict.
 import dataclasses, math
 import numpy as np
 from gaugeprob import (DiscreteProbabilitySpace, GaugeFamily, Interval,
-                       PathwiseRandomFunction, RandomVariable, catalog,
-                       fubini_check, gauge_from_delta, integrate_pathwise,
-                       kh_integrate, verify_uniqueness)
+                       PathwiseRandomFunction, RandomVariable,
+                       SeparableRandomFunction, almost_surely_equal, catalog,
+                       deviation_probability, expectation, fubini_check,
+                       gauge_from_delta, integrate_pathwise,
+                       integrate_separable, kh_integrate, moment,
+                       sample_coefficients, verify_uniqueness)
 
 def _random_calls(label, f, domain, dominator, eps, eta, tol):
     strategies = tuple(catalog.gauge_family(name, domain)
@@ -200,6 +205,54 @@ def library_cases(scenario_dir):
         ("integrate_pathwise evaluate-only, gauge_from_delta family",
          lambda: integrate_pathwise(pointwise, unit, 1e-3, 1e-2, 1e-6,
                                     gauge_family=family).as_dict()),
+    ]
+    return cases + _separable_cases() + _kernel_cases()
+
+def _separable_cases():
+    # integrate_separable is the only route to the fsum combination of the
+    # basis integrals and to the separable branch of random_riemann_sum.
+    cases = []
+    for ident in ("linear-coeff", "affine-pair", "trig-coeff",
+                  "indicator-coeff"):
+        entry = catalog.random_entry(ident)
+        cases.append((f"integrate_separable {ident}",
+                      lambda entry=entry: integrate_separable(
+                          entry.function, entry.domain, 1e-6).as_dict()))
+    cases.append(("integrate_separable 10^4 outcomes, trig-mix + linear",
+                  lambda: integrate_separable(
+                      _sampled_separable(), Interval(0.0, 1.0),
+                      1e-6).as_dict()))
+    return cases
+
+def _sampled_separable():
+    coefficients = sample_coefficients("uniform -2|2", 10000, 1, 2)
+    return SeparableRandomFunction(
+        coefficients=tuple(coefficients),
+        bases=tuple(catalog.scalar_integrand(b)
+                    for b in ("trig-mix", "linear")))
+
+def _values(rv):
+    # Runs on both the tuple and the array form of `values`.
+    return [float(v) for v in rv.values]
+
+def _kernel_cases():
+    x, y = sample_coefficients("uniform -2|2", 10000, 1, 2)
+    cases = [(f"moment p={p}", lambda p=p: {"x": moment(x, p), "y": moment(y, p)})
+             for p in (1, 1.5, 2)]
+    cases += [
+        ("expectation", lambda: {"x": expectation(x), "y": expectation(y)}),
+        ("deviation_probability", lambda: {
+            str(eps): deviation_probability(x, y, eps)
+            for eps in (1e-3, 0.5, 1.0, 2.0)}),
+        ("almost_surely_equal", lambda: {
+            "x, y": almost_surely_equal(x, y),
+            "x, x + 1e-12": almost_surely_equal(x, x + 1e-12),
+            "x, y at tol 4": almost_surely_equal(x, y, tol=4.0)}),
+        ("x + y", lambda: _values(x + y)),
+        ("x - 2.0", lambda: _values(x - 2.0)),
+        ("3.0 * x", lambda: _values(3.0 * x)),
+        ("-x", lambda: _values(-x)),
+        ("abs(x)", lambda: _values(abs(x))),
     ]
     return cases
 

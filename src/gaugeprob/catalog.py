@@ -255,18 +255,14 @@ def _dominator_from_bases(coefficients, bases) -> RandomVariable:
     if any(s is None for s in sups):
         raise ValueError("all bases need a finite sup bound for a dominator")
     total = math.fsum(sups)
-    space = coefficients[0].space
-    values = tuple(
-        max(abs(c.values[i]) for c in coefficients) * total
-        for i in range(space.size)
-    )
-    return RandomVariable(space=space, values=values)
+    values = np.max(np.abs([c.values for c in coefficients]), axis=0) * total
+    return RandomVariable(space=coefficients[0].space, values=values)
 
 
 def _separable(coefficient_values, basis_ids, extra_bases=()) -> SeparableRandomFunction:
     space = two_point_space()
     coefficients = tuple(
-        RandomVariable(space=space, values=tuple(vals))
+        RandomVariable(space=space, values=vals)
         for vals in coefficient_values
     )
     bases = tuple(scalar_integrand(b) for b in basis_ids) + tuple(extra_bases)

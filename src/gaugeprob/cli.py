@@ -148,13 +148,17 @@ def _resolve_space(data, seed: int) -> DiscreteProbabilitySpace:
         except ScenarioError as exc:
             raise ScenarioError(
                 f"scenario.space.sample.distribution: {exc}") from None
-        return DiscreteProbabilitySpace.uniform(int(sample["n"]))
+        n = sample["n"]
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ScenarioError(
+                f"scenario.space.sample.n: expected an integer >= 1, got {n!r}")
+        return DiscreteProbabilitySpace.uniform(n)
     for key in ("outcomes", "weights"):
         if key not in data:
             raise ScenarioError(f"scenario.space.{key}: missing")
     try:
         return DiscreteProbabilitySpace.from_dict(data)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"scenario.space: {exc}") from None
 
 
@@ -178,8 +182,7 @@ def _resolve_coefficient(term, index: int, space, seed: int) -> RandomVariable:
         if not isinstance(values, list):
             raise ScenarioError(f"{where}.values: expected a list or a sample spec")
         try:
-            return RandomVariable(space=space,
-                                  values=tuple(float(v) for v in values))
+            return RandomVariable(space=space, values=values)
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{where}.values: {exc}") from None
     raise ScenarioError(f"{where}.values: missing")
@@ -327,8 +330,11 @@ def _run_fubini(config: RunConfig, scenario: dict):
         spec = scenario["dominator"]
         if not (isinstance(spec, dict) and "values" in spec):
             raise ScenarioError("scenario.dominator: expected {'values': [...]}")
-        dominator = RandomVariable(space=function.space,
-                                   values=tuple(float(v) for v in spec["values"]))
+        try:
+            dominator = RandomVariable(space=function.space,
+                                       values=spec["values"])
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"scenario.dominator.values: {exc}") from None
     elif entry is not None and entry.dominator is not None:
         dominator = entry.dominator
     else:
@@ -340,7 +346,7 @@ def _run_fubini(config: RunConfig, scenario: dict):
         "domain": [domain.lower, domain.upper],
         "tol": tol,
         "levels": levels,
-        "dominator": list(dominator.values),
+        "dominator": dominator.values.tolist(),
     }
     return parameters, report.as_dict(), "pass" if report.passed else "fail"
 

@@ -73,27 +73,30 @@ class DiscreteProbabilitySpace:
                    weights=tuple(float(w) for w in data["weights"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomVariable:
-    """A real value per outcome of a finite space."""
+    """A real value per outcome of a finite space.
+
+    ``values`` is a read-only 1-D float64 array, copied from the input on
+    construction.  There is no value ``==``: compare with
+    :func:`almost_surely_equal` or ``np.array_equal``.
+    """
 
     space: DiscreteProbabilitySpace
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
-        if len(values) != self.space.size:
+        values = np.array(self.values, dtype=float)
+        if values.shape != (self.space.size,):
             raise ValueError("need exactly one value per outcome")
-        if any(not math.isfinite(v) for v in values):
+        if not np.isfinite(values).all():
             raise ValueError("random variable values must be finite")
+        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @classmethod
     def constant(cls, space: DiscreteProbabilitySpace, c: float) -> "RandomVariable":
-        return cls(space=space, values=tuple(float(c) for _ in range(space.size)))
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=float)
+        return cls(space=space, values=np.full(space.size, float(c)))
 
     def _check_space(self, other: "RandomVariable"):
         if self.space != other.space:
@@ -104,44 +107,42 @@ class RandomVariable:
     def _zip_with(self, other, op) -> "RandomVariable":
         if isinstance(other, RandomVariable):
             self._check_space(other)
-            values = tuple(op(a, b) for a, b in zip(self.values, other.values))
+            other = other.values
         else:
-            c = float(other)
-            values = tuple(op(a, c) for a in self.values)
-        return RandomVariable(space=self.space, values=values)
+            other = float(other)
+        return RandomVariable(space=self.space, values=op(self.values, other))
 
     def __add__(self, other):
-        return self._zip_with(other, lambda a, b: a + b)
+        return self._zip_with(other, np.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._zip_with(other, lambda a, b: a - b)
+        return self._zip_with(other, np.subtract)
 
     def __rsub__(self, other):
         return self._zip_with(other, lambda a, b: b - a)
 
     def __mul__(self, other):
-        return self._zip_with(other, lambda a, b: a * b)
+        return self._zip_with(other, np.multiply)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return RandomVariable(space=self.space, values=tuple(-v for v in self.values))
+        return RandomVariable(space=self.space, values=-self.values)
 
     def __abs__(self):
-        return RandomVariable(space=self.space,
-                              values=tuple(abs(v) for v in self.values))
+        return RandomVariable(space=self.space, values=np.abs(self.values))
 
     def as_dict(self) -> dict:
-        return {"space": self.space.as_dict(), "values": list(self.values)}
+        return {"space": self.space.as_dict(), "values": self.values.tolist()}
 
     @classmethod
     def from_dict(cls, data: dict,
                   space: DiscreteProbabilitySpace | None = None) -> "RandomVariable":
         if space is None:
             space = DiscreteProbabilitySpace.from_dict(data["space"])
-        return cls(space=space, values=tuple(float(v) for v in data["values"]))
+        return cls(space=space, values=data["values"])
 
 
 def prob_event(space: DiscreteProbabilitySpace,
@@ -156,26 +157,26 @@ def deviation_probability(x: RandomVariable, y: RandomVariable,
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive, got {eps}")
     x._check_space(y)
-    return math.fsum(
-        w for w, a, b in zip(x.space.weights, x.values, y.values)
-        if abs(a - b) >= eps
-    )
+    weights = np.asarray(x.space.weights)
+    return math.fsum(weights[np.abs(x.values - y.values) >= eps])
 
 
 def expectation(x: RandomVariable) -> float:
     """Exact weighted mean."""
-    return math.fsum(w * v for w, v in zip(x.space.weights, x.values))
+    return math.fsum(np.asarray(x.space.weights) * x.values)
 
 
 def moment(x: RandomVariable, p: float) -> float:
     """The p-th absolute moment, p >= 1.
 
     Always finite on a finite space; exposed because dominated-convergence
-    style hypotheses are stated through first moments.
+    style hypotheses are stated through first moments.  The power is
+    Python's, value by value: NumPy's ``**`` can differ in the last bit.
     """
     if not (math.isfinite(p) and p >= 1):
         raise ValueError(f"moment order must be >= 1, got {p}")
-    return math.fsum(w * abs(v) ** p for w, v in zip(x.space.weights, x.values))
+    return math.fsum(w * abs(v) ** p
+                     for w, v in zip(x.space.weights, x.values.tolist()))
 
 
 def almost_surely_equal(x: RandomVariable, y: RandomVariable,
@@ -185,8 +186,5 @@ def almost_surely_equal(x: RandomVariable, y: RandomVariable,
     Zero-weight outcomes are null sets and are ignored.
     """
     x._check_space(y)
-    return all(
-        abs(a - b) <= tol
-        for w, a, b in zip(x.space.weights, x.values, y.values)
-        if w > 0
-    )
+    positive = np.asarray(x.space.weights) > 0
+    return bool(np.all((np.abs(x.values - y.values) <= tol)[positive]))

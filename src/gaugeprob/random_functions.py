@@ -51,7 +51,7 @@ class SeparableRandomFunction:
         return len(self.coefficients)
 
     def coefficient_matrix(self) -> np.ndarray:
-        return np.stack([c.to_array() for c in self.coefficients], axis=1)
+        return np.stack([c.values for c in self.coefficients], axis=1)
 
     @property
     def gauge_family(self) -> GaugeFamily | None:
@@ -129,7 +129,7 @@ def expectation_function(f: RandomFunction) -> ScalarIntegrand:
     weights = np.array(f.space.weights)
 
     if isinstance(f, SeparableRandomFunction):
-        means = np.array([float(weights @ c.to_array()) for c in f.coefficients])
+        means = np.array([float(weights @ c.values) for c in f.coefficients])
         bases = f.bases
 
         def fn(ts: np.ndarray) -> np.ndarray:

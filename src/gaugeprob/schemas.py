@@ -189,8 +189,10 @@ def validate_scenario(data: dict) -> dict:
     for key in ("levels", "grid_points"):
         if key in data and not isinstance(data[key], int):
             raise ScenarioError(f"scenario.{key}: expected an integer")
-    if data.get("levels", 0) < 0:
-        raise ScenarioError(f"scenario.levels: must be >= 0, got {data['levels']}")
+    for key, floor in (("levels", 0), ("grid_points", 2)):
+        if data.get(key, floor) < floor:
+            raise ScenarioError(
+                f"scenario.{key}: must be >= {floor}, got {data[key]}")
     for key in ("space", "function", "dominator", "F", "f"):
         if key in data and not isinstance(data[key], dict):
             raise ScenarioError(f"scenario.{key}: expected an object")

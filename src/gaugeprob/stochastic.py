@@ -92,16 +92,16 @@ class StochasticIntegralResult:
             "verified": self.verified,
             "levels_used": self.levels_used,
             "failed_outcomes": list(self.failed_outcomes),
-            "integral": list(self.integral.values),
+            "integral": self.integral.values.tolist(),
             "certificate": [row.as_dict() for row in self.certificate],
         }
 
 
 def _combine(f: SeparableRandomFunction, scalars) -> RandomVariable:
     """sum_k C_k * scalars[k], outcome by outcome, summed with fsum."""
-    return RandomVariable(space=f.space, values=tuple(
-        math.fsum(c.values[i] * s for c, s in zip(f.coefficients, scalars))
-        for i in range(f.space.size)))
+    products = f.coefficient_matrix() * np.array(scalars, dtype=float)
+    return RandomVariable(space=f.space,
+                          values=[math.fsum(row) for row in products.tolist()])
 
 
 def random_riemann_sum(f: RandomFunction, division: TaggedDivision) -> RandomVariable:
@@ -121,8 +121,7 @@ def random_riemann_sum(f: RandomFunction, division: TaggedDivision) -> RandomVar
             "random function returned a non-finite value",
             tag=float(division.tags[col]), outcome=int(outcome),
         )
-    sums = matrix @ division.widths
-    return RandomVariable(space=f.space, values=tuple(float(s) for s in sums))
+    return RandomVariable(space=f.space, values=matrix @ division.widths)
 
 
 def _check_parameters(max_levels: int | None = None, **positive: float) -> None:
@@ -149,10 +148,9 @@ def _settle(levels, tol: float):
     levels = iter(levels)
     rule = Settle(tol)
     for item in levels:
-        if rule.feed(item[-1].to_array()):
+        if rule.feed(item[-1].values):
             break
-    integral = RandomVariable(space=item[-1].space,
-                              values=tuple(float(v) for v in rule.values))
+    integral = RandomVariable(space=item[-1].space, values=rule.values)
     failed = tuple(int(i) for i in np.nonzero(~rule.settled)[0])
     return integral, failed, item[0], chain((item,), levels)
 
@@ -360,8 +358,8 @@ class UniquenessReport:
                 {"eps": e, "deviation_probability": p}
                 for e, p in self.deviation_rows
             ],
-            "integral_1": list(self.integrals[0].values),
-            "integral_2": list(self.integrals[1].values),
+            "integral_1": self.integrals[0].values.tolist(),
+            "integral_2": self.integrals[1].values.tolist(),
         }
 
 
@@ -445,9 +443,8 @@ def _domination_violation(view: PathwiseRandomFunction, ts: np.ndarray,
                           dominator: RandomVariable):
     """First grid point where |f(t, .)| exceeds the dominator, if any."""
     weights = np.array(view.space.weights)
-    a_vals = dominator.to_array()
     matrix = np.abs(values_matrix(view, ts))
-    exceeded = (matrix > a_vals[:, None]) & (weights[:, None] > 0)
+    exceeded = (matrix > dominator.values[:, None]) & (weights[:, None] > 0)
     cols = np.nonzero(exceeded.any(axis=0))[0]
     if cols.size == 0:
         return None
@@ -463,7 +460,7 @@ def _fubini_rhs(view: PathwiseRandomFunction, stream, dominator: RandomVariable,
     integral, failed, _, levels = _settle(stream, tol)
     final = _, _, division, sums = next(levels)
     violation = _domination_violation(view, division.tags, dominator)
-    margins = np.abs(sums.to_array()) - dominator.to_array() * domain.width
+    margins = np.abs(sums.values) - dominator.values * domain.width
     margin = float(np.max(margins[np.array(view.space.weights) > 0]))
     _, tails_ok = _certify(view, integral, domain, chain((final,), levels),
                            _pair_rows(1e-3, DEFAULT_ETA, tol))
@@ -493,8 +490,7 @@ def fubini_check(f: RandomFunction, domain: Interval,
     view = as_pathwise(f)
     if dominator.space != view.space:
         raise SpaceMismatchError("dominator must live on the function's space")
-    if any(v < 0 for w, v in zip(dominator.space.weights, dominator.values)
-           if w > 0):
+    if np.any((dominator.values < 0) & (np.array(dominator.space.weights) > 0)):
         raise ValueError("dominator must be nonnegative almost everywhere")
     a_moment = moment(dominator, 1)
 
@@ -599,6 +595,8 @@ def derivative_in_probability_at(F: RandomFunction, f_candidate: RandomFunction,
     if viewF.space != viewf.space:
         raise SpaceMismatchError("F and its candidate derivative must share a space")
     if grid is None:
+        if points < 2:
+            raise ValueError(f"points must be >= 2, got {points}")
         half = points // 2
         offsets = [radius * k / half for k in range(1, half + 1)]
         grid = [t0 - o for o in reversed(offsets)] + [t0 + o for o in offsets]
@@ -611,12 +609,12 @@ def derivative_in_probability_at(F: RandomFunction, f_candidate: RandomFunction,
     f_matrix = values_matrix(viewF, ts)
     base = f_matrix[:, -1]
     slope = values_matrix(viewf, np.array([t0]))[:, 0]
-    slope_rv = RandomVariable(space=space, values=tuple(float(v) for v in slope))
+    slope_rv = RandomVariable(space=space, values=slope)
 
     rows = []
     for j, t in enumerate(grid):
         quotient = (f_matrix[:, j] - base) / (t - t0)
-        q_rv = RandomVariable(space=space, values=tuple(float(v) for v in quotient))
+        q_rv = RandomVariable(space=space, values=quotient)
         rows.append((t, deviation_probability(q_rv, slope_rv, eps)))
     worst_t, worst_tail = max(rows, key=lambda row: row[1])
     return DerivativeReport(
@@ -626,7 +624,7 @@ def derivative_in_probability_at(F: RandomFunction, f_candidate: RandomFunction,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FtcReport:
     """EXPLORATORY: does the integral of the derivative recover F(b) - F(a)?
 
@@ -641,8 +639,8 @@ class FtcReport:
     almost_surely_equal: bool
     equal_tolerance: float
     deviation_rows: tuple[tuple[float, float], ...]
-    integral_values: tuple[float, ...]
-    increment_values: tuple[float, ...]
+    integral_values: np.ndarray
+    increment_values: np.ndarray
 
     def as_dict(self) -> dict:
         return {
@@ -660,8 +658,8 @@ class FtcReport:
                 {"eps": e, "deviation_probability": p}
                 for e, p in self.deviation_rows
             ],
-            "integral_values": list(self.integral_values),
-            "increment_values": list(self.increment_values),
+            "integral_values": self.integral_values.tolist(),
+            "increment_values": self.increment_values.tolist(),
         }
 
 
@@ -692,10 +690,8 @@ def ftc_experiment(F: RandomFunction, f: RandomFunction, domain: Interval,
     res = integrate_pathwise(f, domain, eps, eta, tol, max_levels=max_levels)
     viewF = as_pathwise(F)
     ends = values_matrix(viewF, np.array([domain.lower, domain.upper]))
-    increment = RandomVariable(
-        space=viewF.space,
-        values=tuple(float(v) for v in ends[:, 1] - ends[:, 0]),
-    )
+    increment = RandomVariable(space=viewF.space,
+                               values=ends[:, 1] - ends[:, 0])
     equal_tol = 10.0 * tol
     rows = _deviation_rows(res.integral, increment, eps, equal_tol)
     return FtcReport(

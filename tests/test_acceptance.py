@@ -154,7 +154,7 @@ def test_criterion_04_separable_conclusion():
                           for c, v in zip(f.coefficients, scalar_values))
                 for i in range(f.space.size)
             )
-            assert res.integral.values == expected, f"seed {seed}"
+            assert tuple(res.integral.values) == expected, f"seed {seed}"
 
             path = integrate_pathwise(f, UNIT, 1e-3, 1e-2, tol)
             assert path.verified, f"seed {seed}"

@@ -244,6 +244,61 @@ class TestScenarioFiles:
         assert err == ("gaugeprob: error: scenario.function.terms[0].values: "
                        f"{detail}\n")
 
+    def run_named_error(self, capsys, tmp_path, command, scenario):
+        code, out, err = run_cli(capsys, command, "--scenario",
+                                 self.write(tmp_path, scenario))
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("n", [None, [3], "abc", 0, 2.7, True])
+    def test_invalid_sample_size_names_its_field(self, capsys, tmp_path, n):
+        scenario = {
+            "space": {"sample": {"distribution": "uniform01", "n": n}},
+            "function": {"form": "separable",
+                         "terms": [{"values": [1.0], "basis": "linear"}]},
+        }
+        err = self.run_named_error(capsys, tmp_path, "integrate-prob",
+                                   scenario)
+        assert err == ("gaugeprob: error: scenario.space.sample.n: "
+                       f"expected an integer >= 1, got {n!r}\n")
+
+    @pytest.mark.parametrize("space", [
+        {"outcomes": ["a", "b"], "weights": [0.5, None]},
+        {"outcomes": 5, "weights": [0.5, 0.5]},
+    ])
+    def test_invalid_explicit_space_names_its_field(self, capsys, tmp_path,
+                                                     space):
+        scenario = {
+            "space": space,
+            "function": {"form": "separable",
+                         "terms": [{"values": [1.0, 2.0], "basis": "linear"}]},
+        }
+        err = self.run_named_error(capsys, tmp_path, "integrate-prob",
+                                   scenario)
+        assert err.startswith("gaugeprob: error: scenario.space: ")
+
+    @pytest.mark.parametrize("values, detail", [
+        (5, "need exactly one value per outcome"),
+        ([None, 1], "random variable values must be finite"),
+        ([1, 2, 3], "need exactly one value per outcome"),
+        (["x", 1], "could not convert string to float: 'x'"),
+    ])
+    def test_invalid_dominator_names_its_field(self, capsys, tmp_path,
+                                               values, detail):
+        scenario = {"catalog": "linear-coeff", "dominator": {"values": values}}
+        err = self.run_named_error(capsys, tmp_path, "fubini", scenario)
+        assert err == ("gaugeprob: error: scenario.dominator.values: "
+                       f"{detail}\n")
+
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_too_few_grid_points_named(self, capsys, tmp_path, points):
+        scenario = {"catalog": "ftc-quadratic", "grid_points": points}
+        err = self.run_named_error(capsys, tmp_path, "derivative", scenario)
+        assert err == ("gaugeprob: error: scenario.grid_points: "
+                       f"must be >= 2, got {points}\n")
+
     def test_malformed_json_names_line(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\n  \"domain\": [0, 1\n", encoding="utf-8")

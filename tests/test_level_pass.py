@@ -248,4 +248,4 @@ def test_zero_levels_leaves_every_outcome_unsettled():
                              max_levels=0)
     assert res.levels_used == 0
     assert res.failed_outcomes == (0, 1)
-    assert np.all(np.isfinite(res.integral.to_array()))
+    assert np.all(np.isfinite(res.integral.values))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -78,12 +79,30 @@ class TestRandomVariable:
         sp = space_of(0.5, 0.5)
         x = RandomVariable(space=sp, values=(1.0, 2.0))
         y = RandomVariable(space=sp, values=(0.5, -1.0))
-        assert (x + y).values == (1.5, 1.0)
-        assert (x - y).values == (0.5, 3.0)
-        assert (2.0 * x).values == (2.0, 4.0)
-        assert (x * y).values == (0.5, -2.0)
-        assert (-x).values == (-1.0, -2.0)
-        assert abs(y).values == (0.5, 1.0)
+        assert (x + y).values.tolist() == [1.5, 1.0]
+        assert (x - y).values.tolist() == [0.5, 3.0]
+        assert (2.0 * x).values.tolist() == [2.0, 4.0]
+        assert (x * y).values.tolist() == [0.5, -2.0]
+        assert (-x).values.tolist() == [-1.0, -2.0]
+        assert abs(y).values.tolist() == [0.5, 1.0]
+
+    def test_values_are_read_only(self):
+        x = RandomVariable(space=space_of(0.5, 0.5), values=(1.0, 2.0))
+        assert x.values.dtype == np.float64
+        with pytest.raises(ValueError):
+            x.values[0] = 5.0
+        assert x.values.tolist() == [1.0, 2.0]
+
+    def test_input_array_is_copied(self):
+        raw = np.array([1.0, 2.0])
+        x = RandomVariable(space=space_of(0.5, 0.5), values=raw)
+        raw[0] = 9.0
+        assert x.values.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("shape", [(), (2, 1), (2, 2)])
+    def test_values_must_be_one_dimensional(self, shape):
+        with pytest.raises(ValueError):
+            RandomVariable(space=space_of(0.5, 0.5), values=np.ones(shape))
 
     def test_cross_space_arithmetic_rejected(self):
         x = RandomVariable(space=space_of(0.5, 0.5), values=(1.0, 2.0))
@@ -231,3 +250,69 @@ def test_nested_events_increase_to_positive_difference():
     assert all(tails[i + 1] >= tails[i] for i in range(len(tails) - 1))
     positive = prob_event(sp, lambda i: abs(x.values[i] - y.values[i]) > 0)
     assert tails[-1] == positive == 0.5
+
+
+# The kernels as sums over tuples of Python floats: the bit-for-bit
+# reference for the array kernels.
+def _reference_deviation(x, y, eps):
+    return math.fsum(w for w, a, b in zip(
+        x.space.weights, x.values.tolist(), y.values.tolist())
+        if abs(a - b) >= eps)
+
+
+def _reference_expectation(x):
+    return math.fsum(w * v for w, v in zip(x.space.weights,
+                                           x.values.tolist()))
+
+
+def _reference_moment(x, p):
+    return math.fsum(w * abs(v) ** p for w, v in zip(x.space.weights,
+                                                     x.values.tolist()))
+
+
+def _reference_almost_surely_equal(x, y, tol):
+    return all(abs(a - b) <= tol for w, a, b in zip(
+        x.space.weights, x.values.tolist(), y.values.tolist()) if w > 0)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Two variables on a space of 1-50 outcomes, some of zero weight, and
+    an eps; values on a grid of eighths make |x - y| = eps ties common."""
+    n = draw(st.integers(min_value=1, max_value=50))
+    numerators = draw(st.lists(st.integers(min_value=0, max_value=7),
+                               min_size=n, max_size=n).filter(any))
+    total = sum(numerators)
+    sp = space_of(*(k / total for k in numerators))
+    value = st.one_of(st.integers(min_value=-40, max_value=40).map(
+        lambda k: k / 8), st.floats(min_value=-1e6, max_value=1e6))
+    xs = draw(st.lists(value, min_size=n, max_size=n))
+    ys = draw(st.lists(value, min_size=n, max_size=n))
+    eps = draw(st.integers(min_value=1, max_value=16)) / 8
+    return (RandomVariable(space=sp, values=xs),
+            RandomVariable(space=sp, values=ys), eps)
+
+
+class TestKernelsBitForBit:
+    @given(kernel_inputs())
+    def test_deviation_probability(self, inputs):
+        x, y, eps = inputs
+        assert (deviation_probability(x, y, eps).hex()
+                == _reference_deviation(x, y, eps).hex())
+
+    @given(kernel_inputs())
+    def test_expectation(self, inputs):
+        x, _, _ = inputs
+        assert expectation(x).hex() == _reference_expectation(x).hex()
+
+    @given(kernel_inputs(), st.sampled_from([1, 1.5, 2, 3]))
+    def test_moment(self, inputs, p):
+        x, _, _ = inputs
+        assert moment(x, p).hex() == _reference_moment(x, p).hex()
+
+    @given(kernel_inputs())
+    def test_almost_surely_equal(self, inputs):
+        x, y, eps = inputs
+        for a, b in ((x, y), (x, x), (x, x + eps), (x, x - eps)):
+            result = almost_surely_equal(a, b, tol=eps)
+            assert result is _reference_almost_surely_equal(a, b, eps)
