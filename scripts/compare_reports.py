@@ -10,6 +10,9 @@ removed, together with the exit code and what the command wrote to stderr.
 After the CLI commands, the same worker runs the library cases: library
 calls on functions and gauges built in code, the route no CLI command
 takes, whose ``as_dict()`` (or dataclass fields) are compared as JSON.
+Among them are the partition cases: ``cousin_partition`` on every catalog
+gauge family at levels 0-3 under splits 0.5 and 0.45, compared by the
+sha256 of the ``points`` and ``tags`` bytes, or by the error's text.
 Every command or case that differs is printed; the exit status is 0 only
 when none does.  Scenario files, including the sampled scenarios that
 ``bench/inputs.py`` generates, are written to the same temporary directory,
@@ -206,7 +209,8 @@ def library_cases(scenario_dir):
          lambda: integrate_pathwise(pointwise, unit, 1e-3, 1e-2, 1e-6,
                                     gauge_family=family).as_dict()),
     ]
-    return cases + _separable_cases() + _kernel_cases()
+    return (cases + _separable_cases() + _kernel_cases()
+            + _partition_cases())
 
 def _separable_cases():
     # integrate_separable is the only route to the fsum combination of the
@@ -255,6 +259,25 @@ def _kernel_cases():
         ("abs(x)", lambda: _values(abs(x))),
     ]
     return cases
+
+def _partition_cases():
+    import hashlib
+    from gaugeprob import cousin_partition
+    unit = Interval(0.0, 1.0)
+
+    def build(gauge, split):
+        try:
+            division = cousin_partition(gauge, unit, split=split)
+        except Exception as exc:
+            return {"error": f"{type(exc).__name__}: {exc}"}
+        return {key: hashlib.sha256(getattr(division, key).tobytes()).hexdigest()
+                for key in ("points", "tags")}
+
+    return [(f"partition {name} level {level} split {split}",
+             lambda gauge=catalog.gauge_family(name, unit)(level), split=split:
+             build(gauge, split))
+            for name in catalog.gauge_family_ids()
+            for level in range(4) for split in (0.5, 0.45)]
 
 for name, case in library_cases(Path(scenario_dir)):
     err = io.StringIO()

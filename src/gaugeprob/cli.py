@@ -117,8 +117,24 @@ def _load_scenario(config: RunConfig) -> dict:
     return load_scenario_text(text, where=f"scenario {path}")
 
 
+def _float(name: str, value) -> float:
+    """A scenario number as a float; an integer too large for one is an
+    error that names its field."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ScenarioError(f"{name}: {exc}") from None
+
+
+def _domain(scenario: dict, default) -> Interval:
+    try:
+        return Interval.coerce(scenario.get("domain", default))
+    except OverflowError as exc:
+        raise ScenarioError(f"scenario.domain: {exc}") from None
+
+
 def _positive(name: str, value) -> float:
-    value = float(value)
+    value = _float(name, value)
     if not value > 0:
         raise ScenarioError(f"{name}: must be positive, got {value}")
     return value
@@ -127,10 +143,11 @@ def _positive(name: str, value) -> float:
 def _number(config: RunConfig, scenario: dict, key: str, default=None):
     """The flag, else the scenario's value, else ``_DEFAULTS[default or
     key]``; ``levels`` is an integer, the others must be positive."""
-    value = getattr(config, key)
+    value, name = getattr(config, key), f"--{key}"
     if value is None:
-        value = scenario.get(key, _DEFAULTS[default or key])
-    return int(value) if key == "levels" else _positive(key, value)
+        value, name = (scenario.get(key, _DEFAULTS[default or key]),
+                       f"scenario.{key}")
+    return int(value) if key == "levels" else _positive(name, value)
 
 
 def _resolve_space(data, seed: int) -> DiscreteProbabilitySpace:
@@ -158,7 +175,7 @@ def _resolve_space(data, seed: int) -> DiscreteProbabilitySpace:
             raise ScenarioError(f"scenario.space.{key}: missing")
     try:
         return DiscreteProbabilitySpace.from_dict(data)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"scenario.space: {exc}") from None
 
 
@@ -177,13 +194,13 @@ def _resolve_coefficient(term, index: int, space, seed: int) -> RandomVariable:
                 drawn = sample_values(sample["distribution"], space.size,
                                       int(sample.get("seed", seed)) + index)
                 return RandomVariable(space=space, values=drawn)
-            except (TypeError, ValueError, ScenarioError) as exc:
+            except (TypeError, ValueError, OverflowError, ScenarioError) as exc:
                 raise ScenarioError(f"{where}.values: {exc}") from None
         if not isinstance(values, list):
             raise ScenarioError(f"{where}.values: expected a list or a sample spec")
         try:
             return RandomVariable(space=space, values=values)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"{where}.values: {exc}") from None
     raise ScenarioError(f"{where}.values: missing")
 
@@ -192,7 +209,7 @@ def _resolve_function(scenario: dict, seed: int
                       ) -> tuple[RandomFunction, Interval, catalog.RandomEntry | None]:
     if "catalog" in scenario:
         entry = catalog.random_entry(scenario["catalog"])
-        domain = Interval.coerce(scenario.get("domain", entry.domain))
+        domain = _domain(scenario, entry.domain)
         return entry.function, domain, entry
     if "function" not in scenario:
         raise ScenarioError("scenario.function: missing (and no catalog id)")
@@ -218,7 +235,7 @@ def _resolve_function(scenario: dict, seed: int
         bases.append(catalog.scalar_integrand(basis_id))
     function = SeparableRandomFunction(coefficients=tuple(coefficients),
                                        bases=tuple(bases))
-    domain = Interval.coerce(scenario.get("domain", catalog.UNIT))
+    domain = _domain(scenario, catalog.UNIT)
     return function, domain, None
 
 
@@ -248,7 +265,7 @@ def _run_integrate(config: RunConfig, scenario: dict):
         raise ScenarioError("scenario.catalog: the integrate command needs a "
                             "scalar integrand id")
     integrand = catalog.scalar_integrand(scenario["catalog"])
-    domain = Interval.coerce(scenario.get("domain", integrand.domain))
+    domain = _domain(scenario, integrand.domain)
     tol = _number(config, scenario, "tol", "scalar_tol")
     levels = _number(config, scenario, "levels")
     family = _resolve_gauge(scenario, integrand, domain)
@@ -333,7 +350,7 @@ def _run_fubini(config: RunConfig, scenario: dict):
         try:
             dominator = RandomVariable(space=function.space,
                                        values=spec["values"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"scenario.dominator.values: {exc}") from None
     elif entry is not None and entry.dominator is not None:
         dominator = entry.dominator
@@ -354,9 +371,9 @@ def _run_fubini(config: RunConfig, scenario: dict):
 def _resolve_pair(scenario: dict, seed: int):
     if "catalog" in scenario:
         entry = catalog.ftc_entry(scenario["catalog"])
-        domain = Interval.coerce(scenario.get("domain", entry.domain))
+        domain = _domain(scenario, entry.domain)
         return (entry.antiderivative, entry.derivative, domain,
-                float(scenario.get("t0", entry.t0)))
+                _float("scenario.t0", scenario.get("t0", entry.t0)))
     if "F" not in scenario or "f" not in scenario:
         raise ScenarioError("scenario.F / scenario.f: both required without "
                             "a catalog id")
@@ -364,14 +381,15 @@ def _resolve_pair(scenario: dict, seed: int):
         {**scenario, "function": scenario["F"]}, seed)
     lower, _, _ = _resolve_function(
         {**scenario, "function": scenario["f"]}, seed)
-    return upper, lower, domain, float(scenario.get("t0", 0.5))
+    return (upper, lower, domain,
+            _float("scenario.t0", scenario.get("t0", 0.5)))
 
 
 def _run_derivative(config: RunConfig, scenario: dict):
     F, f, domain, t0 = _resolve_pair(scenario, config.seed)
     eps = _number(config, scenario, "eps", "derivative_eps")
     eta = _number(config, scenario, "eta")
-    radius = float(scenario.get("grid_radius", 1e-3))
+    radius = _float("scenario.grid_radius", scenario.get("grid_radius", 1e-3))
     points = int(scenario.get("grid_points", 16))
     report = derivative_in_probability_at(F, f, t0, eps, eta,
                                           radius=radius, points=points)
@@ -405,7 +423,7 @@ def _run_convergence_table(config: RunConfig, scenario: dict):
     identifier = scenario.get("catalog")
     if identifier is not None and identifier in catalog.scalar_ids():
         integrand = catalog.scalar_integrand(identifier)
-        domain = Interval.coerce(scenario.get("domain", integrand.domain))
+        domain = _domain(scenario, integrand.domain)
         family = _resolve_gauge(scenario, integrand, domain)
         table = [(level, division.mesh, value, None) for level, division, value
                  in kh_levels(integrand, domain, family, max_levels=levels)]

@@ -299,6 +299,37 @@ class TestScenarioFiles:
         assert err == ("gaugeprob: error: scenario.grid_points: "
                        f"must be >= 2, got {points}\n")
 
+    @pytest.mark.parametrize("command, scenario, field", [
+        ("integrate-prob", {"catalog": "linear-coeff", "eps": 10 ** 400},
+         "scenario.eps"),
+        ("integrate-prob", {
+            "space": {"outcomes": ["a", "b"], "weights": [10 ** 400, 0.5]},
+            "function": {"form": "separable", "terms": [
+                {"values": [1.0, 2.0], "basis": "linear"}]}},
+         "scenario.space"),
+        ("integrate-prob", {
+            "space": {"outcomes": ["a", "b"], "weights": [0.5, 0.5]},
+            "function": {"form": "separable", "terms": [
+                {"values": [10 ** 400, 2], "basis": "linear"}]}},
+         "scenario.function.terms[0].values"),
+        ("fubini", {"catalog": "linear-coeff",
+                    "dominator": {"values": [10 ** 400, 1.0]}},
+         "scenario.dominator.values"),
+        ("integrate", {"catalog": "linear", "gauge": {"constant": 10 ** 400}},
+         "scenario.gauge.constant"),
+        ("integrate", {"catalog": "linear", "domain": [0, 10 ** 400]},
+         "scenario.domain"),
+        ("derivative", {"catalog": "ftc-quadratic", "t0": 10 ** 400},
+         "scenario.t0"),
+        ("derivative", {"catalog": "ftc-quadratic", "grid_radius": 10 ** 400},
+         "scenario.grid_radius"),
+    ])
+    def test_integer_too_large_for_a_float_names_its_field(
+            self, capsys, tmp_path, command, scenario, field):
+        err = self.run_named_error(capsys, tmp_path, command, scenario)
+        assert err == (f"gaugeprob: error: {field}: "
+                       "int too large to convert to float\n")
+
     def test_malformed_json_names_line(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\n  \"domain\": [0, 1\n", encoding="utf-8")
