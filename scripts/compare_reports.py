@@ -1,6 +1,7 @@
 """Compare two source trees' reports, exit codes and stderr.
 
     python scripts/compare_reports.py OLD_TREE NEW_TREE
+    python scripts/compare_reports.py OLD_TREE NEW_TREE --numeric [--atol X]
 
 Each tree (a checkout with ``src/gaugeprob``) runs the gate list below in one
 worker process of its own: every command goes through
@@ -14,7 +15,17 @@ Among them are the partition cases: ``cousin_partition`` on every catalog
 gauge family at levels 0-3 under splits 0.5 and 0.45, compared by the
 sha256 of the ``points`` and ``tags`` bytes, or by the error's text.
 Every command or case that differs is printed; the exit status is 0 only
-when none does.  Scenario files, including the sampled scenarios that
+when none does.
+
+With ``--numeric`` the reports are parsed as JSON and walked side by side.
+Float fields may move: per command, the largest absolute difference of each
+float field is printed (list indices are folded, so ``result.integral[]``
+covers every outcome), and the comparison fails when one exceeds ``--atol``
+(default 1e-12).  Everything else must match exactly: the exit code,
+stderr, the report's shape, every string, integer and flag (``verified``,
+``converged``, ...), and every tail (``achieved_tail``, ``worst_tail``,
+``tail``, ``deviation_probability``), which are exact ``fsum``
+probabilities.  Byte identity stays the default.  Scenario files, including the sampled scenarios that
 ``bench/inputs.py`` generates, are written to the same temporary directory,
 which is removed afterwards.
 """
@@ -23,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -295,6 +307,51 @@ Path(results_file).write_text(json.dumps(results), encoding="utf-8")
 '''
 
 
+TAIL_FIELDS = frozenset(("achieved_tail", "worst_tail", "tail",
+                         "deviation_probability"))
+
+
+def _walk(a, b, path: str, floats: dict, mismatches: list) -> None:
+    """Compare parsed JSON a and b: float gaps go to ``floats`` (largest
+    per field), anything else that differs to ``mismatches``."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            mismatches.append(f"{path or '.'}: keys {sorted(a)} -> {sorted(b)}")
+            return
+        for key in a:
+            _walk(a[key], b[key], f"{path}.{key}" if path else key, floats,
+                  mismatches)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            mismatches.append(f"{path}: length {len(a)} -> {len(b)}")
+            return
+        for x, y in zip(a, b):
+            _walk(x, y, f"{path}[]", floats, mismatches)
+    elif (type(a) is float and type(b) is float
+          and path.rsplit(".", 1)[-1] not in TAIL_FIELDS
+          and not (math.isnan(a) or math.isnan(b))):
+        gap = 0.0 if a == b else abs(a - b)
+        floats[path] = max(floats.get(path, 0.0), gap)
+    elif not (type(a) is type(b) and (a == b or a != a and b != b)):
+        mismatches.append(f"{path}: {a!r} -> {b!r}")
+
+
+def numeric_differences(old: dict, new: dict) -> tuple[dict, list]:
+    """(float field -> largest absolute difference, exact mismatches) between
+    two results of the worker."""
+    floats, mismatches = {}, []
+    for key in ("exit", "stderr"):
+        if old[key] != new[key]:
+            mismatches.append(f"{key}: {old[key]!r} -> {new[key]!r}")
+    try:
+        reports = [None if r["report"] is None else json.loads(r["report"])
+                   for r in (old, new)]
+    except ValueError:
+        reports = [old["report"], new["report"]]
+    _walk(*reports, "", floats, mismatches)
+    return floats, mismatches
+
+
 def _write_scenarios(scenario_dir: Path, env: dict) -> None:
     for name, data in SCENARIOS.items():
         (scenario_dir / f"{name}.json").write_text(json.dumps(data),
@@ -317,6 +374,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_tree", type=Path)
     parser.add_argument("new_tree", type=Path)
+    parser.add_argument("--numeric", action="store_true",
+                        help="let float fields differ by up to --atol")
+    parser.add_argument("--atol", type=float, default=1e-12,
+                        help="largest absolute float difference allowed by "
+                             "--numeric (default 1e-12)")
     args = parser.parse_args(argv)
     trees = {"old": args.old_tree.resolve(), "new": args.new_tree.resolve()}
     for tree in trees.values():
@@ -355,19 +417,36 @@ def main(argv=None) -> int:
             print("the trees ran different library cases", file=sys.stderr)
             return 1
 
-        differing = 0
-        for label, a, b in zip(labels, old, new):
+        differing, failing, largest = [0, 0], 0, 0.0
+        for index, (label, a, b) in enumerate(zip(labels, old, new)):
             fields = [key for key in ("exit", "stderr", "report")
                       if a[key] != b[key]]
-            if fields:
-                differing += 1
-                print(f"DIFFERS ({', '.join(fields)}): {label}")
+            if not fields:
+                continue
+            differing[index >= len(commands)] += 1
+            print(f"DIFFERS ({', '.join(fields)}): {label}")
+            if not args.numeric:
+                failing += 1
                 for key in ("exit", "stderr"):
                     if key in fields:
                         print(f"  {key}: {a[key]!r} -> {b[key]!r}")
-    print(f"{differing} of {len(commands)} commands and "
+                continue
+            floats, mismatches = numeric_differences(a, b)
+            for path, gap in sorted(floats.items()):
+                if gap:
+                    over = "  OVER --atol" if gap > args.atol else ""
+                    print(f"  {path}: {gap:.3g}{over}")
+            for line in mismatches:
+                print(f"  MISMATCH {line}")
+            worst = max(floats.values(), default=0.0)
+            largest = max(largest, worst)
+            failing += bool(mismatches) or worst > args.atol
+    print(f"{differing[0]} of {len(commands)} commands and {differing[1]} of "
           f"{len(old) - len(commands)} library cases differ")
-    return 1 if differing else 0
+    if args.numeric:
+        print(f"largest float difference {largest:.3g} (--atol "
+              f"{args.atol:g}); {failing} fail")
+    return 1 if failing else 0
 
 
 if __name__ == "__main__":

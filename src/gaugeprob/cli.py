@@ -44,6 +44,10 @@ log = logging.getLogger("gaugeprob")
 
 _STATUS_EXIT = {"verified": 0, "pass": 0, "table": 0, "unverified": 2, "fail": 2}
 
+# A sampled space holds one label, weight and coefficient per outcome, so a
+# larger n runs out of memory before any work starts.  Fixed, not a setting.
+MAX_SAMPLED_OUTCOMES = 10_000_000
+
 _DEFAULTS = {
     "eps": 1e-3,
     "eta": 1e-2,
@@ -169,6 +173,10 @@ def _resolve_space(data, seed: int) -> DiscreteProbabilitySpace:
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ScenarioError(
                 f"scenario.space.sample.n: expected an integer >= 1, got {n!r}")
+        if n > MAX_SAMPLED_OUTCOMES:
+            raise ScenarioError(
+                f"scenario.space.sample.n: at most {MAX_SAMPLED_OUTCOMES} "
+                f"outcomes, got {n}")
         return DiscreteProbabilitySpace.uniform(n)
     for key in ("outcomes", "weights"):
         if key not in data:

@@ -100,9 +100,11 @@ def as_pathwise(f: RandomFunction) -> PathwiseRandomFunction:
     """View any random function through its pointwise values f(t, omega).
 
     For a separable function this evaluates the sum of coefficient-scaled
-    basis values at each (t, omega); no scalar integrals are reused, so a
-    pathwise integration of the view is an independent route to the same
-    integral.
+    basis values at each (t, omega), as an (outcomes x tags) matrix.  The
+    view serves pointwise values: domination checks, derivatives and
+    endpoint values.  Sums do not go through it; ``random_riemann_sum``
+    sums a separable function with rank K, and a pathwise integration of
+    the view itself is a dense, independent route to the same integral.
     """
     if isinstance(f, PathwiseRandomFunction):
         return f

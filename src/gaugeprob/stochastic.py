@@ -39,7 +39,6 @@ from .quadrature import (
     riemann_sum_scalar,
 )
 from .random_functions import (
-    PathwiseRandomFunction,
     RandomFunction,
     SeparableRandomFunction,
     as_pathwise,
@@ -60,6 +59,15 @@ _FRESH_SPLIT = 0.45
 # a division past the piece guard.
 _VERIFY_EXTRA_LEVELS = 12
 _VERIFY_PIECE_GUARD = 8_000_000
+
+# Pointwise values of f are evaluated in column blocks of at most this many
+# (outcome, tag) cells.
+_BLOCK_CELLS = 1 << 20
+
+# A rank-K sum is taken only when sum_k max|C_k| max|phi_k(tags)|, times the
+# division's width, is below this bound: then no cell, partial sum or total
+# of the rank-K or the dense route can overflow.
+_SAFE_REACH = np.finfo(float).max / 2.0
 
 
 @dataclass(frozen=True)
@@ -104,15 +112,36 @@ def _combine(f: SeparableRandomFunction, scalars) -> RandomVariable:
                           values=[math.fsum(row) for row in products.tolist()])
 
 
+def _rank_k_sums(f: SeparableRandomFunction,
+                 division: TaggedDivision) -> np.ndarray | None:
+    """C @ s, where s holds the K sums riemann_sum_scalar(phi_k, division);
+    None when a value is not finite or a cell could overflow."""
+    widths = division.widths
+    basis_values = np.stack([b.values_at(division.tags) for b in f.bases])
+    coefficients = f.coefficient_matrix()
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = (np.abs(coefficients).max(axis=0)
+                 @ np.abs(basis_values).max(axis=1)) * widths.sum()
+    if not reach < _SAFE_REACH:  # also False for NaN
+        return None
+    return coefficients @ np.sum(basis_values * widths, axis=1)
+
+
 def random_riemann_sum(f: RandomFunction, division: TaggedDivision) -> RandomVariable:
     """Outcome-wise Riemann sum of f over the division.
 
-    For a separable function this is exactly
-    sum_k C_k * riemann_sum_scalar(phi_k, division); coefficients never mix
-    with tag evaluation, so the identity is algebraic, not numerical.
+    A separable function is summed with rank K: C @ s, where s holds the K
+    scalar sums riemann_sum_scalar(phi_k, division), so no outcomes x tags
+    matrix is built.  It agrees with the dense sum of ``as_pathwise(f)`` to
+    the last bits, not bit for bit.  When a basis value is not finite or a
+    cell C_ik phi_k(t) could overflow, f is summed densely instead, so the
+    error names the same tag and outcome as the dense sum.
     """
     if isinstance(f, SeparableRandomFunction):
-        return _combine(f, [riemann_sum_scalar(b, division) for b in f.bases])
+        sums = _rank_k_sums(f, division)
+        if sums is not None:
+            return RandomVariable(space=f.space, values=sums)
+        f = as_pathwise(f)
     matrix = values_matrix(f, division.tags)
     bad = ~np.isfinite(matrix)
     if bad.any():
@@ -183,7 +212,7 @@ def _retagged_sums(f: RandomFunction, base: TaggedDivision, gauge,
     return base_sums if same else random_riemann_sum(f, retagged)
 
 
-def _certify(f_for_sums: RandomFunction, integral: RandomVariable,
+def _certify(f: RandomFunction, integral: RandomVariable,
              domain: Interval, levels, pairs,
              ) -> tuple[tuple[CertificateRow, ...], bool]:
     """Find, per (eps, eta) pair, a gauge level whose sharp divisions all
@@ -203,8 +232,8 @@ def _certify(f_for_sums: RandomFunction, integral: RandomVariable,
     for _, gauge, base, base_sums in islice(levels, _VERIFY_EXTRA_LEVELS + 1):
         all_sums = {id(sums): sums for sums in (
             base_sums,
-            _retagged_sums(f_for_sums, base, gauge, base_sums),
-            random_riemann_sum(f_for_sums, cousin_partition(
+            _retagged_sums(f, base, gauge, base_sums),
+            random_riemann_sum(f, cousin_partition(
                 gauge, domain, split=_FRESH_SPLIT)),
         )}.values()
         still = []
@@ -277,10 +306,9 @@ def integrate_pathwise(f: RandomFunction, domain: Interval, eps: float,
     """
     _check_parameters(max_levels, eps=eps, eta=eta, tol=tol)
     domain = Interval.coerce(domain)
-    view = as_pathwise(f)
     integral, failed, level, levels = _settle(
-        _levels(view, domain, gauge_family, 0, max_levels), tol)
-    rows, tails_ok = _certify(view, integral, domain, levels,
+        _levels(f, domain, gauge_family, 0, max_levels), tol)
+    rows, tails_ok = _certify(f, integral, domain, levels,
                               _pair_rows(eps, eta, tol))
     return StochasticIntegralResult(
         integral=integral, certificate=rows, method=method,
@@ -299,8 +327,7 @@ def convergence_tails(f: RandomFunction, domain: Interval, eps: float,
     _check_parameters(max_levels, eps=eps, tol=tol)
     domain = Interval.coerce(domain)
     per_level = [(level, division.mesh, sums) for level, _, division, sums
-                 in _levels(as_pathwise(f), domain, gauge_family, 0,
-                            max_levels)]
+                 in _levels(f, domain, gauge_family, 0, max_levels)]
     integral = _settle(per_level, tol)[0]
     return tuple((level, mesh, deviation_probability(sums, integral, eps))
                  for level, mesh, sums in per_level)
@@ -439,30 +466,36 @@ class FubiniReport:
         }
 
 
-def _domination_violation(view: PathwiseRandomFunction, ts: np.ndarray,
+def _domination_violation(f: RandomFunction, ts: np.ndarray,
                           dominator: RandomVariable):
-    """First grid point where |f(t, .)| exceeds the dominator, if any."""
-    weights = np.array(view.space.weights)
-    matrix = np.abs(values_matrix(view, ts))
-    exceeded = (matrix > dominator.values[:, None]) & (weights[:, None] > 0)
-    cols = np.nonzero(exceeded.any(axis=0))[0]
-    if cols.size == 0:
-        return None
-    col = int(cols[0])
-    outcomes = tuple(int(i) for i in np.nonzero(exceeded[:, col])[0])
-    return float(ts[col]), outcomes
+    """First point of ts where |f(t, .)| exceeds the dominator on outcomes
+    of positive weight, with those outcomes; None if there is none.  The
+    values are evaluated in column blocks of at most _BLOCK_CELLS cells."""
+    view = as_pathwise(f)
+    positive = (np.array(view.space.weights) > 0)[:, None]
+    bound = dominator.values[:, None]
+    step = max(1, _BLOCK_CELLS // view.space.size)
+    for start in range(0, ts.size, step):
+        block = ts[start:start + step]
+        exceeded = (np.abs(values_matrix(view, block)) > bound) & positive
+        cols = np.nonzero(exceeded.any(axis=0))[0]
+        if cols.size:
+            col = int(cols[0])
+            outcomes = tuple(int(i) for i in np.nonzero(exceeded[:, col])[0])
+            return float(block[col]), outcomes
+    return None
 
 
-def _fubini_rhs(view: PathwiseRandomFunction, stream, dominator: RandomVariable,
+def _fubini_rhs(f: RandomFunction, stream, dominator: RandomVariable,
                 domain: Interval, tol: float):
     """(mean, verified, final tags' domination violation, their count, bound
     margin max |S| - A (b - a)) of the pathwise integral settled on stream."""
     integral, failed, _, levels = _settle(stream, tol)
     final = _, _, division, sums = next(levels)
-    violation = _domination_violation(view, division.tags, dominator)
+    violation = _domination_violation(f, division.tags, dominator)
     margins = np.abs(sums.values) - dominator.values * domain.width
-    margin = float(np.max(margins[np.array(view.space.weights) > 0]))
-    _, tails_ok = _certify(view, integral, domain, chain((final,), levels),
+    margin = float(np.max(margins[np.array(f.space.weights) > 0]))
+    _, tails_ok = _certify(f, integral, domain, chain((final,), levels),
                            _pair_rows(1e-3, DEFAULT_ETA, tol))
     return (expectation(integral), tails_ok and not failed, violation,
             division.pieces, margin)
@@ -487,15 +520,14 @@ def fubini_check(f: RandomFunction, domain: Interval,
     """
     _check_parameters(max_levels, tol=tol)
     domain = Interval.coerce(domain)
-    view = as_pathwise(f)
-    if dominator.space != view.space:
+    if dominator.space != f.space:
         raise SpaceMismatchError("dominator must live on the function's space")
     if np.any((dominator.values < 0) & (np.array(dominator.space.weights) > 0)):
         raise ValueError("dominator must be nonnegative almost everywhere")
     a_moment = moment(dominator, 1)
 
     grid = _chebyshev_grid(domain, grid_points)
-    violation = _domination_violation(view, grid, dominator)
+    violation = _domination_violation(f, grid, dominator)
 
     mean_fn = expectation_function(f)
     lhs = rhs = diff = bound_ok = bound_margin = None
@@ -512,16 +544,16 @@ def fubini_check(f: RandomFunction, domain: Interval,
             if not mean.done:
                 mean.feed(riemann_sum_scalar(mean_fn, division))
                 mean_tags = division.tags
-            return random_riemann_sum(view, division) if rhs_open else None
+            return random_riemann_sum(f, division) if rhs_open else None
 
         stream = level_pass(sums_of, resolve_gauge_family(f, domain), domain,
                             0, max_levels)
-        rhs_side = _fubini_rhs(view, stream, dominator, domain, tol)
+        rhs_side = _fubini_rhs(f, stream, dominator, domain, tol)
         rhs_open = False
         while not mean.done and next(stream, None) is not None:
             pass
         lhs, lhs_converged = float(mean.values[0]), mean.done
-        violation = _domination_violation(view, mean_tags, dominator)
+        violation = _domination_violation(f, mean_tags, dominator)
         checked_points += mean_tags.size
 
     if violation is None:

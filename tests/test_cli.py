@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gaugeprob import DiscreteProbabilitySpace
 from gaugeprob.cli import main
 from gaugeprob.schemas import (
     CSV_COLUMNS,
@@ -263,6 +264,23 @@ class TestScenarioFiles:
                                    scenario)
         assert err == ("gaugeprob: error: scenario.space.sample.n: "
                        f"expected an integer >= 1, got {n!r}\n")
+
+    @pytest.mark.parametrize("n", [10_000_001, 10 ** 100])
+    def test_sample_size_above_the_ceiling_is_refused_before_building(
+            self, capsys, tmp_path, monkeypatch, n):
+        def refuse(*args):
+            raise AssertionError("the space must not be built")
+
+        monkeypatch.setattr(DiscreteProbabilitySpace, "uniform", refuse)
+        scenario = {
+            "space": {"sample": {"distribution": "uniform01", "n": n}},
+            "function": {"form": "separable",
+                         "terms": [{"values": [1.0], "basis": "linear"}]},
+        }
+        err = self.run_named_error(capsys, tmp_path, "integrate-prob",
+                                   scenario)
+        assert err == ("gaugeprob: error: scenario.space.sample.n: at most "
+                       f"10000000 outcomes, got {n}\n")
 
     @pytest.mark.parametrize("space", [
         {"outcomes": ["a", "b"], "weights": [0.5, None]},

@@ -106,6 +106,32 @@ class TestFubiniCheck:
         assert rep.rhs == pytest.approx(0.75, abs=1e-5)
 
 
+class TestBlockedDominationCheck:
+    def test_violation_in_a_later_block_matches_one_evaluation(self):
+        from gaugeprob import PathwiseRandomFunction, stochastic
+        from gaugeprob.random_functions import values_matrix
+
+        step = stochastic._BLOCK_CELLS // SPACE.size
+        ts = np.linspace(0.0, 1.0, step + 100)
+        start = ts[step + 40]  # in the second block
+        calls = []
+
+        def matrix(ts):
+            calls.append(ts.size)
+            return np.stack([np.zeros_like(ts),
+                             np.where(ts >= start, 3.0, 1.0)])
+
+        f = PathwiseRandomFunction(space=SPACE, matrix_evaluate=matrix)
+        dominator = rv(1.0, 2.0)
+        whole = np.abs(values_matrix(f, ts)) > dominator.values[:, None]
+        col = int(np.nonzero(whole.any(axis=0))[0][0])
+        single = (float(ts[col]), tuple(np.nonzero(whole[:, col])[0].tolist()))
+        assert single == (float(start), (1,))
+        calls.clear()
+        assert stochastic._domination_violation(f, ts, dominator) == single
+        assert calls == [step, 100]
+
+
 class TestDerivativeInProbability:
     def test_quadratic_passes(self):
         pair = catalog.ftc_entry("ftc-quadratic")

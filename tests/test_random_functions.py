@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from gaugeprob import (
     DiscreteProbabilitySpace,
+    EvaluationError,
+    Interval,
     PathwiseRandomFunction,
     RandomVariable,
     ScalarIntegrand,
@@ -14,6 +16,7 @@ from gaugeprob import (
     TaggedDivision,
     as_pathwise,
     expectation_function,
+    integrate_pathwise,
     random_riemann_sum,
     riemann_sum_scalar,
 )
@@ -78,6 +81,65 @@ class TestSeparableForm:
             expected = c1[i] * s_const + c2[i] * s_linear
             budget = 8 * math.ulp(max(abs(expected), 1.0))
             assert abs(sums.values[i] - expected) <= budget
+
+    def test_unit_term_sum_is_the_scalar_sum_bit_for_bit(self):
+        sine = ScalarIntegrand(name="sine", fn=np.sin)
+        f = SeparableRandomFunction(coefficients=(rv(1.0, 1.0),),
+                                    bases=(sine,))
+        points = np.concatenate([[0.0], np.sort(
+            np.random.default_rng(5).uniform(0.0, 1.0, 999)), [1.0]])
+        d = TaggedDivision(points=points, tags=points[:-1])
+        scalar = riemann_sum_scalar(sine, d)
+        assert random_riemann_sum(f, d).values.tolist() == [scalar, scalar]
+
+
+def nan_at_quarter(ts):
+    return np.where(ts == 0.25, math.nan, ts)
+
+
+def steep_past_half(ts):
+    return np.where(ts > 0.5, 1e10, 1.0)
+
+
+# (function, the tag and outcome its dense sum over two_piece_division()
+# names); the uniform family's level 0 is that division.
+ERROR_CASES = {
+    "basis is NaN at one tag": (SeparableRandomFunction(
+        coefficients=(rv(1.0, 2.0), rv(0.5, 0.5)),
+        bases=(CONST, ScalarIntegrand(name="nan", fn=nan_at_quarter))),
+        0.25, 0),
+    "coefficient times basis overflows": (SeparableRandomFunction(
+        coefficients=(rv(1.0, 1e300),),
+        bases=(ScalarIntegrand(name="steep", fn=steep_past_half),)),
+        0.75, 1),
+}
+
+
+class TestErrorContract:
+    """A separable sum that is not finite is summed densely, so both routes
+    raise the same error, naming the same tag and outcome."""
+
+    @staticmethod
+    def raised(call):
+        with pytest.raises(EvaluationError) as err:
+            call()
+        return str(err.value), err.value.tag, err.value.outcome
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("case", sorted(ERROR_CASES))
+    def test_rank_k_and_dense_routes_raise_the_same_error(self, case):
+        f, tag, outcome = ERROR_CASES[case]
+        dense = PathwiseRandomFunction(
+            space=f.space, matrix_evaluate=as_pathwise(f).matrix_evaluate)
+        expected = ("random function returned a non-finite value", tag,
+                    outcome)
+        d = two_piece_division()
+        assert self.raised(lambda: random_riemann_sum(f, d)) == expected
+        assert self.raised(lambda: random_riemann_sum(dense, d)) == expected
+        unit = Interval(0.0, 1.0)
+        for g in (f, dense):
+            assert self.raised(lambda: integrate_pathwise(
+                g, unit, 1e-3, 1e-2, 1e-6)) == expected
 
 
 class TestPathwiseForm:
