@@ -1,7 +1,7 @@
 """Compare two source trees' reports, exit codes and stderr.
 
     python scripts/compare_reports.py OLD_TREE NEW_TREE
-    python scripts/compare_reports.py OLD_TREE NEW_TREE --numeric [--atol X]
+    python scripts/compare_reports.py OLD_TREE NEW_TREE --numeric
 
 Each tree (a checkout with ``src/gaugeprob``) runs the gate list below in one
 worker process of its own: every command goes through
@@ -20,14 +20,16 @@ when none does.
 With ``--numeric`` the reports are parsed as JSON and walked side by side.
 Float fields may move: per command, the largest absolute difference of each
 float field is printed (list indices are folded, so ``result.integral[]``
-covers every outcome), and the comparison fails when one exceeds ``--atol``
-(default 1e-12).  Everything else must match exactly: the exit code,
-stderr, the report's shape, every string, integer and flag (``verified``,
-``converged``, ...), and every tail (``achieved_tail``, ``worst_tail``,
-``tail``, ``deviation_probability``), which are exact ``fsum``
-probabilities.  Byte identity stays the default.  Scenario files, including the sampled scenarios that
-``bench/inputs.py`` generates, are written to the same temporary directory,
-which is removed afterwards.
+covers every outcome), and the comparison fails when one exceeds
+``NUMERIC_ATOL`` (1e-12).  Everything else must match exactly: the exit
+code, stderr, the report's shape, every string, integer and flag
+(``verified``, ``converged``, ...), and every tail (``achieved_tail``,
+``worst_tail``, ``tail``, ``deviation_probability``), which are exact
+``fsum`` probabilities.  Byte identity stays the default.
+
+Scenario files, including the sampled scenarios that ``bench/inputs.py``
+generates, are written to the same temporary directory, which is removed
+afterwards.
 """
 
 from __future__ import annotations
@@ -307,6 +309,7 @@ Path(results_file).write_text(json.dumps(results), encoding="utf-8")
 '''
 
 
+NUMERIC_ATOL = 1e-12
 TAIL_FIELDS = frozenset(("achieved_tail", "worst_tail", "tail",
                          "deviation_probability"))
 
@@ -375,10 +378,8 @@ def main(argv=None) -> int:
     parser.add_argument("old_tree", type=Path)
     parser.add_argument("new_tree", type=Path)
     parser.add_argument("--numeric", action="store_true",
-                        help="let float fields differ by up to --atol")
-    parser.add_argument("--atol", type=float, default=1e-12,
-                        help="largest absolute float difference allowed by "
-                             "--numeric (default 1e-12)")
+                        help="let float fields differ by up to "
+                             f"{NUMERIC_ATOL:g}")
     args = parser.parse_args(argv)
     trees = {"old": args.old_tree.resolve(), "new": args.new_tree.resolve()}
     for tree in trees.values():
@@ -434,18 +435,18 @@ def main(argv=None) -> int:
             floats, mismatches = numeric_differences(a, b)
             for path, gap in sorted(floats.items()):
                 if gap:
-                    over = "  OVER --atol" if gap > args.atol else ""
+                    over = "  OVER" if gap > NUMERIC_ATOL else ""
                     print(f"  {path}: {gap:.3g}{over}")
             for line in mismatches:
                 print(f"  MISMATCH {line}")
             worst = max(floats.values(), default=0.0)
             largest = max(largest, worst)
-            failing += bool(mismatches) or worst > args.atol
+            failing += bool(mismatches) or worst > NUMERIC_ATOL
     print(f"{differing[0]} of {len(commands)} commands and {differing[1]} of "
           f"{len(old) - len(commands)} library cases differ")
     if args.numeric:
-        print(f"largest float difference {largest:.3g} (--atol "
-              f"{args.atol:g}); {failing} fail")
+        print(f"largest float difference {largest:.3g} (allowed "
+              f"{NUMERIC_ATOL:g}); {failing} fail")
     return 1 if failing else 0
 
 
