@@ -317,16 +317,17 @@ TAIL_FIELDS = frozenset(("achieved_tail", "worst_tail", "tail",
 def _walk(a, b, path: str, floats: dict, mismatches: list) -> None:
     """Compare parsed JSON a and b: float gaps go to ``floats`` (largest
     per field), anything else that differs to ``mismatches``."""
+    where = path or "."
     if isinstance(a, dict) and isinstance(b, dict):
         if a.keys() != b.keys():
-            mismatches.append(f"{path or '.'}: keys {sorted(a)} -> {sorted(b)}")
+            mismatches.append(f"{where}: keys {sorted(a)} -> {sorted(b)}")
             return
         for key in a:
             _walk(a[key], b[key], f"{path}.{key}" if path else key, floats,
                   mismatches)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
-            mismatches.append(f"{path}: length {len(a)} -> {len(b)}")
+            mismatches.append(f"{where}: length {len(a)} -> {len(b)}")
             return
         for x, y in zip(a, b):
             _walk(x, y, f"{path}[]", floats, mismatches)
@@ -336,7 +337,7 @@ def _walk(a, b, path: str, floats: dict, mismatches: list) -> None:
         gap = 0.0 if a == b else abs(a - b)
         floats[path] = max(floats.get(path, 0.0), gap)
     elif not (type(a) is type(b) and (a == b or a != a and b != b)):
-        mismatches.append(f"{path}: {a!r} -> {b!r}")
+        mismatches.append(f"{where}: {a!r} -> {b!r}")
 
 
 def numeric_differences(old: dict, new: dict) -> tuple[dict, list]:

@@ -153,6 +153,18 @@ def random_riemann_sum(f: RandomFunction, division: TaggedDivision) -> RandomVar
     return RandomVariable(space=f.space, values=matrix @ division.widths)
 
 
+def _separable_sums(f: SeparableRandomFunction,
+                    division: TaggedDivision) -> RandomVariable:
+    """The sums integrate_separable certifies with: rank K, or, where
+    random_riemann_sum falls back to the dense sum, the K scalar sums
+    combined by _combine, so an error names the tag as riemann_sum_scalar
+    does."""
+    sums = _rank_k_sums(f, division)
+    if sums is None:
+        return _combine(f, [riemann_sum_scalar(b, division) for b in f.bases])
+    return RandomVariable(space=f.space, values=sums)
+
+
 def _check_parameters(max_levels: int | None = None, **positive: float) -> None:
     for name, val in positive.items():
         if not (math.isfinite(val) and val > 0):
@@ -162,9 +174,12 @@ def _check_parameters(max_levels: int | None = None, **positive: float) -> None:
 
 
 def _levels(f: RandomFunction, domain: Interval,
-            gauge_family: GaugeFamily | None, start: int, stop: int):
-    """The level pass, under f's resolved family, with f's outcome sums."""
-    return level_pass(lambda division: random_riemann_sum(f, division),
+            gauge_family: GaugeFamily | None, start: int, stop: int,
+            sums=None):
+    """The level pass, under f's resolved family, with f's outcome sums
+    (``sums``, random_riemann_sum when None)."""
+    sums = sums or random_riemann_sum
+    return level_pass(lambda division: sums(f, division),
                       resolve_gauge_family(f, domain, gauge_family), domain,
                       start, stop)
 
@@ -204,16 +219,16 @@ def _pair_rows(eps: float | None, eta: float | None, tol: float):
 
 
 def _retagged_sums(f: RandomFunction, base: TaggedDivision, gauge,
-                   base_sums: RandomVariable) -> RandomVariable:
+                   base_sums: RandomVariable, sums) -> RandomVariable:
     """Sums of f over base re-tagged with reversed preference; a re-tagging
     that moves no tag is base itself, whose sums are reused."""
     retagged = repick_tags(base, gauge)
     same = np.array_equal(retagged.tags, base.tags)
-    return base_sums if same else random_riemann_sum(f, retagged)
+    return base_sums if same else sums(f, retagged)
 
 
 def _certify(f: RandomFunction, integral: RandomVariable,
-             domain: Interval, levels, pairs,
+             domain: Interval, levels, pairs, sums=None,
              ) -> tuple[tuple[CertificateRow, ...], bool]:
     """Find, per (eps, eta) pair, a gauge level whose sharp divisions all
     stay within eps of the integral outside probability eta.
@@ -226,20 +241,22 @@ def _certify(f: RandomFunction, integral: RandomVariable,
     keyed by identity).  A pair that keeps failing refines to finer levels
     (each pair is entitled to its own gauge) until the level or piece budget
     runs out, at which point its row reports the failing tail honestly.
+    ``sums(f, division)`` takes the outcome sums (random_riemann_sum when
+    None).
     """
+    sums = sums or random_riemann_sum
     pending = list(pairs)
     rows: dict[tuple[float, float], CertificateRow] = {}
     for _, gauge, base, base_sums in islice(levels, _VERIFY_EXTRA_LEVELS + 1):
-        all_sums = {id(sums): sums for sums in (
+        all_sums = {id(s): s for s in (
             base_sums,
-            _retagged_sums(f, base, gauge, base_sums),
-            random_riemann_sum(f, cousin_partition(
-                gauge, domain, split=_FRESH_SPLIT)),
+            _retagged_sums(f, base, gauge, base_sums, sums),
+            sums(f, cousin_partition(gauge, domain, split=_FRESH_SPLIT)),
         )}.values()
         still = []
         for (eps, eta) in pending:
             tail = max(
-                deviation_probability(sums, integral, eps) for sums in all_sums
+                deviation_probability(s, integral, eps) for s in all_sums
             )
             rows[(eps, eta)] = CertificateRow(
                 eps=eps, eta=eta, achieved_tail=tail, mesh_bound=base.mesh)
@@ -279,8 +296,9 @@ def integrate_separable(f: SeparableRandomFunction, domain: Interval,
 
     level = max(r.refinement_levels for r in scalar_results)
     rows, ok = _certify(f, integral, domain,
-                        _levels(f, domain, None, level, max_levels),
-                        _pair_rows(None, None, tol))
+                        _levels(f, domain, None, level, max_levels,
+                                _separable_sums),
+                        _pair_rows(None, None, tol), _separable_sums)
     return StochasticIntegralResult(
         integral=integral, certificate=rows, method="separable",
         verified=ok, levels_used=level,

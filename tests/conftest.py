@@ -9,10 +9,6 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-# The CI workflow selects this one (--hypothesis-profile=ci): the same
-# examples on every run, so a property test cannot flake there.
-settings.register_profile("ci", parent=settings.get_profile("default"),
-                          derandomize=True)
 settings.load_profile("default")
 
 

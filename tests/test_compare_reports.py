@@ -43,9 +43,9 @@ def test_float_fields_report_their_largest_gap_with_indices_folded():
     (moved(integral=[0.5, 1.0]), "result.integral"),
     (result(REPORT, exit=2), "exit"),
     (result(REPORT, stderr="warning\n"), "stderr"),
-    (result(None), ""),
+    (result(None), "."),
 ])
 def test_anything_but_a_float_value_must_match(new, where):
     _, mismatches = compare_reports.numeric_differences(result(REPORT), new)
     assert len(mismatches) == 1
-    assert mismatches[0].startswith(where)
+    assert mismatches[0].startswith(f"{where}: ")

@@ -41,7 +41,7 @@ NONNEGATIVE = ("constant", "linear", "monomial2", "monomial3")
 
 # A random search finds the settle rule's blind spots, which the strict
 # xfails below pin.  These tests gate changes to the sums, and a gate must
-# not flake, so they run the same examples under every profile.
+# not flake, so they run the same examples on every run, locally and in CI.
 fixed = settings(derandomize=True)
 
 

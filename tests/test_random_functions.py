@@ -17,6 +17,7 @@ from gaugeprob import (
     as_pathwise,
     expectation_function,
     integrate_pathwise,
+    integrate_separable,
     random_riemann_sum,
     riemann_sum_scalar,
 )
@@ -101,6 +102,14 @@ def steep_past_half(ts):
     return np.where(ts > 0.5, 1e10, 1.0)
 
 
+def square_on_grid(ts):
+    """t^2 at multiples of 1/1024, NaN elsewhere.  integrate_separable at tol
+    1e-6 integrates t^2 on uniform levels 0-8, whose tags all lie on that
+    grid; the certificate's 0.45 split is the first to leave it."""
+    ts = np.asarray(ts, dtype=float)
+    return np.where(ts * 1024 == np.floor(ts * 1024), ts * ts, np.nan)
+
+
 # (function, the tag and outcome its dense sum over two_piece_division()
 # names); the uniform family's level 0 is that division.
 ERROR_CASES = {
@@ -140,6 +149,20 @@ class TestErrorContract:
         for g in (f, dense):
             assert self.raised(lambda: integrate_pathwise(
                 g, unit, 1e-3, 1e-2, 1e-6)) == expected
+
+    def test_separable_certificate_names_the_tag(self):
+        """integrate_separable certifies with the scalar sums where rank K
+        is unsafe, so a basis that is NaN only at tags the 0.45 split
+        reaches raises riemann_sum_scalar's error, which names the tag."""
+        f = SeparableRandomFunction(
+            coefficients=(rv(1.0, 2.0),),
+            bases=(ScalarIntegrand(name="square", fn=square_on_grid),))
+        message, tag, outcome = self.raised(lambda: integrate_separable(
+            f, Interval(0.0, 1.0), 1e-6))
+        assert message == (
+            f"integrand returned a non-finite value at tag {tag!r}")
+        assert tag * 1024 != math.floor(tag * 1024)
+        assert outcome is None
 
 
 class TestPathwiseForm:
