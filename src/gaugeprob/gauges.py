@@ -139,17 +139,22 @@ class GaugeFamily:
 
 
 def uniform_gauge_family(domain: Interval) -> GaugeFamily:
-    """Constant-width family delta_m = (b - a) * 2^-m (uniform halving)."""
+    """Constant-width family delta_m just under (b - a) * 2^-m (uniform
+    halving)."""
     return scaled_uniform_family(domain, 1.0, "uniform")
 
 
 def scaled_uniform_family(domain: Interval, factor: float, name: str) -> GaugeFamily:
-    """Constant-width family delta_m = factor * (b - a) * 2^-m."""
+    """Constant-width family delta_m = factor * (b - a) * 2^-m * (1 - 2^-40)."""
     domain = Interval.coerce(domain)
     span = domain.width * factor
 
     def at_level(level: int) -> Gauge:
-        return constant_gauge(span * 2.0 ** -level)
+        # Just under the nominal width, so a piece of width delta/2 keeps its
+        # midpoint as tag: where rounding of a non-dyadic domain's points
+        # makes it a hair narrower, it would otherwise fit the gauge interval
+        # of its left endpoint, and endpoint tags stall the sums.
+        return constant_gauge(span * 2.0 ** -level * (1.0 - 2.0 ** -40))
 
     return GaugeFamily(name=name, at_level=at_level)
 

@@ -247,26 +247,3 @@ def cousin_partition(gauge: Gauge, domain: Interval,
               tags.size, deepest, evaluated)
     return TaggedDivision(points=np.append(lefts[order], ends[1]), tags=tags)
 
-
-def repick_tags(division: TaggedDivision, gauge: Gauge,
-                reverse: bool = True) -> TaggedDivision:
-    """Re-tag the same pieces with the opposite candidate preference.
-
-    Every piece of a sharp division accepts at least one of the candidates
-    left endpoint, midpoint, right endpoint; scanning them in the reversed
-    order yields a second sharp division over identical pieces (identical
-    to the input wherever only one candidate accepts).
-    """
-    lefts, rights = division.lefts, division.rights
-    mids = 0.5 * (lefts + rights)
-    candidates = (rights, mids, lefts) if reverse else (lefts, mids, rights)
-    chosen = np.empty_like(mids)
-    settled = np.zeros(mids.shape, dtype=bool)
-    for candidate in candidates:
-        alpha, beta = gauge.half_widths(candidate)
-        ok = (~settled) & (candidate - alpha < lefts) & (rights < candidate + beta)
-        chosen[ok] = candidate[ok]
-        settled |= ok
-    if not settled.all():
-        raise ValueError("division is not sharp for this gauge")
-    return TaggedDivision(points=division.points, tags=chosen)

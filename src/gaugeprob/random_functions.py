@@ -122,8 +122,12 @@ def as_pathwise(f: RandomFunction) -> PathwiseRandomFunction:
 
 
 def values_matrix(f: PathwiseRandomFunction, ts: np.ndarray) -> np.ndarray:
-    """All pathwise values as an (outcomes x tags) matrix."""
-    return np.asarray(f.matrix_evaluate(ts), dtype=float)
+    """All pathwise values as an (outcomes x tags) matrix.
+
+    Overflow and invalid operations raise no NumPy warning; the values
+    come back non-finite, for the caller to report with their place."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.asarray(f.matrix_evaluate(ts), dtype=float)
 
 
 def expectation_function(f: RandomFunction) -> ScalarIntegrand:

@@ -7,9 +7,9 @@ fall below eta once divisions are sharp for a fine enough gauge.
 
 Definitions quantify over *all* sharp divisions; an implementation can only
 sample them.  Results therefore carry a certificate -- deviation tails
-measured on the constructed division and on fresh, finer divisions sharp
-for the same gauge -- plus a verified/unverified flag instead of a truth
-claim.
+measured, level by level, on the constructed division and on a fresh
+division split off-center, sharp for the same gauge -- plus a
+verified/unverified flag instead of a truth claim.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import EvaluationError, NonConvergenceError, SpaceMismatchError
 from .gauges import GaugeFamily, Interval, uniform_gauge_family
-from .partitions import TaggedDivision, cousin_partition, repick_tags
+from .partitions import TaggedDivision, cousin_partition
 from .probability import (
     RandomVariable,
     almost_surely_equal,
@@ -49,9 +49,8 @@ from .random_functions import (
 DEFAULT_EPS_GRID = (1e-2, 1e-3, 1e-4)
 DEFAULT_ETA = 1e-2
 
-# Verification draws per certificate beyond the constructed division: the
-# same pieces re-tagged with reversed candidate preference, plus a fresh
-# partition with an off-center split ratio.  All sharp for the same gauge.
+# Split ratio of the certificate's one draw beyond the constructed division:
+# a fresh partition, sharp for the same gauge, cut off-center.
 _FRESH_SPLIT = 0.45
 
 # Certification may refine this many levels past the integration level while
@@ -145,10 +144,11 @@ def random_riemann_sum(f: RandomFunction, division: TaggedDivision) -> RandomVar
     matrix = values_matrix(f, division.tags)
     bad = ~np.isfinite(matrix)
     if bad.any():
-        outcome, col = np.argwhere(bad)[0]
+        outcome, col = (int(i) for i in np.argwhere(bad)[0])
+        tag = float(division.tags[col])
         raise EvaluationError(
-            "random function returned a non-finite value",
-            tag=float(division.tags[col]), outcome=int(outcome),
+            f"random function returned a non-finite value at tag {tag!r}, "
+            f"outcome {outcome}", tag=tag, outcome=outcome,
         )
     return RandomVariable(space=f.space, values=matrix @ division.widths)
 
@@ -218,15 +218,6 @@ def _pair_rows(eps: float | None, eta: float | None, tol: float):
     return rows
 
 
-def _retagged_sums(f: RandomFunction, base: TaggedDivision, gauge,
-                   base_sums: RandomVariable, sums) -> RandomVariable:
-    """Sums of f over base re-tagged with reversed preference; a re-tagging
-    that moves no tag is base itself, whose sums are reused."""
-    retagged = repick_tags(base, gauge)
-    same = np.array_equal(retagged.tags, base.tags)
-    return base_sums if same else sums(f, retagged)
-
-
 def _certify(f: RandomFunction, integral: RandomVariable,
              domain: Interval, levels, pairs, sums=None,
              ) -> tuple[tuple[CertificateRow, ...], bool]:
@@ -234,25 +225,19 @@ def _certify(f: RandomFunction, integral: RandomVariable,
     stay within eps of the integral outside probability eta.
 
     ``levels`` continues the level pass from the level where integration
-    stopped.  Tails are measured on three divisions per level: the
-    constructed one, the same pieces re-tagged with reversed preference, and
-    an off-center split; a re-tagging that moves no tag hands back the
-    constructed division's sums, whose tail is measured once (the sums are
-    keyed by identity).  A pair that keeps failing refines to finer levels
-    (each pair is entitled to its own gauge) until the level or piece budget
-    runs out, at which point its row reports the failing tail honestly.
-    ``sums(f, division)`` takes the outcome sums (random_riemann_sum when
-    None).
+    stopped.  Tails are measured on two divisions per level: the
+    constructed one and a fresh division split off-center.  A pair that
+    keeps failing refines to finer levels (each pair is entitled to its own
+    gauge) until the level or piece budget runs out, at which point its row
+    reports the failing tail honestly.  ``sums(f, division)`` takes the
+    outcome sums (random_riemann_sum when None).
     """
     sums = sums or random_riemann_sum
     pending = list(pairs)
     rows: dict[tuple[float, float], CertificateRow] = {}
     for _, gauge, base, base_sums in islice(levels, _VERIFY_EXTRA_LEVELS + 1):
-        all_sums = {id(s): s for s in (
-            base_sums,
-            _retagged_sums(f, base, gauge, base_sums, sums),
-            sums(f, cousin_partition(gauge, domain, split=_FRESH_SPLIT)),
-        )}.values()
+        fresh = cousin_partition(gauge, domain, split=_FRESH_SPLIT)
+        all_sums = (base_sums, sums(f, fresh))
         still = []
         for (eps, eta) in pending:
             tail = max(

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -377,6 +378,26 @@ class TestScenarioFiles:
         assert code == 2
         assert report["result"]["hypothesis_ok"] is False
         assert report["result"]["violating_outcomes"] == [1]
+
+    @pytest.mark.parametrize("command", [
+        "integrate-prob", "uniqueness", "riemann-prob", "convergence-table"])
+    def test_non_finite_value_names_its_place_alone(self, capsys, tmp_path,
+                                                    command):
+        scenario = {
+            "space": {"outcomes": ["a", "b"], "weights": [0.5, 0.5]},
+            "function": {"form": "separable",
+                         "terms": [{"values": [1.0, 1.7e308],
+                                    "basis": "trig-mix"}]},
+        }
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, command, "--scenario",
+                                     self.write(tmp_path, scenario))
+        assert code == 1
+        assert out == ""
+        assert err == ("gaugeprob: error: random function returned a "
+                       "non-finite value at tag 0.25, outcome 1\n")
+        assert [str(w.message) for w in caught] == []
 
     def test_gauge_override_by_id(self, capsys, tmp_path):
         scenario = {"catalog": "monomial2", "gauge": "uniform-2/3"}

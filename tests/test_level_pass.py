@@ -2,6 +2,7 @@
 
 import json
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,28 +35,21 @@ UNIT = Interval(0.0, 1.0)
 
 @pytest.fixture
 def built(monkeypatch):
-    """Record (builder, pieces, points bytes, tags bytes) of every division
-    that the level pass (in quadrature) or the stochastic layer builds or
-    re-tags.
-
-    The builder is part of the entry: a re-tagging legitimately equals its
-    base wherever only the midpoint is accepted (constant gauges).
-    """
+    """Record (pieces, points bytes, tags bytes) of every division that the
+    level pass (in quadrature) or the stochastic layer builds."""
     record = []
 
-    def recording(name, fn):
+    def recording(fn):
         def wrapper(*args, **kwargs):
             division = fn(*args, **kwargs)
-            record.append((name, division.pieces, division.points.tobytes(),
+            record.append((division.pieces, division.points.tobytes(),
                            division.tags.tobytes()))
             return division
         return wrapper
 
-    for module, name in ((quadrature, "cousin_partition"),
-                         (stochastic, "cousin_partition"),
-                         (stochastic, "repick_tags")):
-        monkeypatch.setattr(module, name,
-                            recording(name, getattr(module, name)))
+    for module in (quadrature, stochastic):
+        monkeypatch.setattr(module, "cousin_partition",
+                            recording(module.cousin_partition))
     return record
 
 
@@ -102,33 +96,34 @@ def test_fubini_sides_share_divisions_when_the_mean_settles_late(built):
     assert len(set(built)) == len(built)
 
 
-def test_unmoved_retagging_is_not_summed_again(monkeypatch):
-    """Under uniform halving every re-tagging equals its base, so each
-    certificate level sums only the off-center division afresh."""
-    calls = {"sums": 0, "retags": 0}
+def test_each_certificate_level_sums_one_fresh_division(monkeypatch):
+    """Each certificate level builds and sums exactly one division split at
+    _FRESH_SPLIT, besides the constructed one of the level pass."""
+    calls = {"sums": 0, "fresh": 0}
 
-    def counting(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counting_sums(f, division):
+        calls["sums"] += 1
+        return random_riemann_sum(f, division)
 
-    monkeypatch.setattr(stochastic, "random_riemann_sum", counting(
-        "sums", stochastic.random_riemann_sum))
-    monkeypatch.setattr(stochastic, "repick_tags", counting(
-        "retags", stochastic.repick_tags))
+    def counting_partition(gauge, domain, **kwargs):
+        if kwargs.get("split") == stochastic._FRESH_SPLIT:
+            calls["fresh"] += 1
+        return cousin_partition(gauge, domain, **kwargs)
+
+    monkeypatch.setattr(stochastic, "random_riemann_sum", counting_sums)
+    monkeypatch.setattr(stochastic, "cousin_partition", counting_partition)
     entry = catalog.random_entry("linear-coeff")
     res = integrate_pathwise(entry.function, entry.domain, 1e-3, 1e-2, 1e-6,
                              gauge_family=uniform_gauge_family(entry.domain))
-    assert calls["retags"] >= 1
+    assert calls["fresh"] >= 1
     # levels 0..levels_used, then per certificate level the fresh division
     # and, past the first, the next level of the pass.
-    assert calls["sums"] == res.levels_used + 2 * calls["retags"]
+    assert calls["sums"] == res.levels_used + 2 * calls["fresh"]
 
 
 def test_each_distinct_division_tail_is_measured_once(monkeypatch):
-    """Under uniform halving every re-tagging hands back the base sums, so
-    each certificate level measures two tails per pair, not three."""
+    """Each certificate level measures two tails per pair: one on the
+    constructed division, one on the fresh division."""
     measured = []
 
     def recording(sums, integral, eps):
@@ -141,6 +136,8 @@ def test_each_distinct_division_tail_is_measured_once(monkeypatch):
                              gauge_family=uniform_gauge_family(entry.domain))
     assert res.verified and measured
     assert len({(id(sums), eps) for sums, eps in measured}) == len(measured)
+    per_pair = Counter(eps for _, eps in measured)
+    assert all(count % 2 == 0 for count in per_pair.values())
 
 
 def test_each_level_is_logged(caplog):

@@ -16,12 +16,7 @@ from gaugeprob import (
     is_sharp,
 )
 from gaugeprob import catalog
-from gaugeprob.partitions import (
-    _BLOCK,
-    DEFAULT_MAX_DEPTH,
-    DEFAULT_MAX_PIECES,
-    repick_tags,
-)
+from gaugeprob.partitions import _BLOCK, DEFAULT_MAX_DEPTH, DEFAULT_MAX_PIECES
 
 from conftest import simple_gauges
 
@@ -144,20 +139,6 @@ class TestCousinPartition:
     def test_output_always_sharp(self, g):
         d = cousin_partition(g, UNIT)
         assert is_sharp(d, g)
-
-
-class TestRepickTags:
-    def test_same_pieces_sharp_tags(self):
-        g = gauge_from_delta(lambda t: 0.11 + t / 2.0)
-        d = cousin_partition(g, UNIT)
-        d2 = repick_tags(d, g)
-        assert np.array_equal(d.points, d2.points)
-        assert is_sharp(d2, g)
-
-    def test_rejects_non_sharp_division(self):
-        d = TaggedDivision(points=np.array([0.0, 1.0]), tags=np.array([0.5]))
-        with pytest.raises(ValueError):
-            repick_tags(d, gauge_from_delta(lambda t: 0.1))
 
 
 def _collapsing_gauge(at=0.3):

@@ -40,7 +40,7 @@ SMOOTH = ("constant", "linear", "monomial2", "monomial3", "poly-deg5",
 NONNEGATIVE = ("constant", "linear", "monomial2", "monomial3")
 
 # A random search finds the settle rule's blind spots, which the strict
-# xfails below pin.  These tests gate changes to the sums, and a gate must
+# xfail below pins.  These tests gate changes to the sums, and a gate must
 # not flake, so they run the same examples on every run, locally and in CI.
 fixed = settings(derandomize=True)
 
@@ -152,23 +152,22 @@ def additive(f, c) -> bool:
 @fixed
 @given(st.data())
 def test_additivity_over_adjacent_intervals(data):
-    # c is dyadic: see the test below for what happens off that grid.
+    # c is dyadic; test_additivity_off_the_dyadic_grid checks fixed points
+    # off that grid.
     space = data.draw(spaces())
     f = data.draw(functions(space))
     assert additive(f, data.draw(st.integers(1, 63)) / 64)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the uniform family's gauge width equals the piece width at each "
-    "level, so on [0, 0.4] rounding makes some midpoint tags unsharp; the "
-    "endpoint tags that replace them stall the sums, and the settle rule "
-    "freezes 0.5 trig-mix at level 8, 2.4e-5 from its integral"))
-def test_additivity_off_the_dyadic_grid():
+@pytest.mark.parametrize("c", [0.1, 0.3, 1 / 3, 0.4, 0.45, 0.7, 0.9])
+def test_additivity_off_the_dyadic_grid(c):
+    # Under the uniform family, rounding of the points of [0, c] must not
+    # let a piece of width delta/2 take its left endpoint as tag.
     space = DiscreteProbabilitySpace.uniform(2)
     f = SeparableRandomFunction(
         coefficients=(RandomVariable.constant(space, 0.5),),
         bases=(catalog.scalar_integrand("trig-mix"),))
-    assert additive(f, 0.4)
+    assert additive(f, c)
 
 
 @fixed
