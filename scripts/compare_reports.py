@@ -13,7 +13,10 @@ calls on functions and gauges built in code, the route no CLI command
 takes, whose ``as_dict()`` (or dataclass fields) are compared as JSON.
 Among them are the partition cases: ``cousin_partition`` on every catalog
 gauge family at levels 0-3 under splits 0.5 and 0.45, compared by the
-sha256 of the ``points`` and ``tags`` bytes, or by the error's text.
+sha256 of the ``points`` and ``tags`` bytes, or by the error's text.  Four
+cases put non-finite values of a pathwise function in different column
+blocks of one division and compare the error each call names (its type,
+text, tag and outcome) or, where a call returns, its result.
 Every command or case that differs is printed; the exit status is 0 only
 when none does.
 
@@ -155,21 +158,25 @@ for index, argv in enumerate(json.loads(Path(commands_file).read_text())):
     results.append({"exit": code, "stderr": err.getvalue(), "report": report})
 # Then the library calls.  They use only API that both trees accept: a
 # pathwise function given `evaluate` plus `matrix_evaluate` (as
-# bench/workloads.py builds it) on the sampled-pathwise seed-1 inputs, an
-# `evaluate`-only function, bare callables, a `gauge_from_delta` family,
+# bench/workloads.py builds it) on the sampled-pathwise seed-1 inputs, the
+# same paths with non-finite cells in two column blocks (compared by the
+# error each call names or the report it returns), an `evaluate`-only
+# function, bare callables, a `gauge_from_delta` family,
 # `integrate_separable` on catalog and sampled separable functions, and the
 # probability kernels and arithmetic on sampled variables.
 # `library_cases(dir)` returns (name, thunk) pairs; each thunk returns a
 # JSON-ready dict.
 import dataclasses, math
 import numpy as np
-from gaugeprob import (DiscreteProbabilitySpace, GaugeFamily, Interval,
-                       PathwiseRandomFunction, RandomVariable,
-                       SeparableRandomFunction, almost_surely_equal, catalog,
+from gaugeprob import (DiscreteProbabilitySpace, GaugeFamily,
+                       GaugeProbError, Interval, PathwiseRandomFunction,
+                       RandomVariable, SeparableRandomFunction,
+                       almost_surely_equal, catalog, cousin_partition,
                        deviation_probability, expectation, fubini_check,
                        gauge_from_delta, integrate_pathwise,
                        integrate_separable, kh_integrate, moment,
-                       sample_coefficients, verify_uniqueness)
+                       random_riemann_sum, sample_coefficients,
+                       verify_uniqueness)
 
 def _random_calls(label, f, domain, dominator, eps, eta, tol):
     strategies = tuple(catalog.gauge_family(name, domain)
@@ -182,6 +189,38 @@ def _random_calls(label, f, domain, dominator, eps, eta, tol):
         (f"fubini_check {label}", lambda: fubini_check(
             f, domain, dominator, tol).as_dict()),
     ]
+
+def _named_error(call):
+    # The call's result, or its error's type, text, tag and outcome without
+    # the traceback, whose file paths differ between the trees.
+    try:
+        return {"result": call()}
+    except GaugeProbError as exc:
+        return {"error": f"{type(exc).__name__}: {exc}",
+                "tag": getattr(exc, "tag", None),
+                "outcome": getattr(exc, "outcome", None)}
+
+def _holed_cases(a, b, space, domain, dominator, eps, eta, tol):
+    # Non-finite cells in different column blocks of the level-8 uniform
+    # division (512 tags; 5000 outcomes make blocks of 209 tags): outcome
+    # 4000 at the first tag, outcome 7 at the last.  Coarser levels have
+    # neither tag.  The sums must name outcome 7, the lowest; fubini_check
+    # reports the infinite value as a domination violation instead.
+    def holed(ts):
+        values = np.cos(np.multiply.outer(a, ts) + b[:, None])
+        values[4000, ts < domain.lower + domain.width * 2.0 ** -9] = math.inf
+        values[7, ts > domain.upper - domain.width * 2.0 ** -9] = math.nan
+        return values
+
+    f = PathwiseRandomFunction(space=space, matrix_evaluate=holed)
+    level8 = cousin_partition(catalog.gauge_family("uniform", domain)(8),
+                              domain)
+    calls = [("random_riemann_sum non-finite in two blocks",
+              lambda: random_riemann_sum(f, level8).values.tolist())]
+    calls += _random_calls("non-finite in two blocks", f, domain, dominator,
+                           eps, eta, tol)
+    return [(name, lambda call=call: _named_error(call))
+            for name, call in calls]
 
 def library_cases(scenario_dir):
     base = scenario_dir / "sampled-pathwise-1"
@@ -196,8 +235,10 @@ def library_cases(scenario_dir):
     dominator = RandomVariable(space=space,
                                values=scenario["dominator"]["values"])
     domain = Interval.coerce(scenario["domain"])
+    tolerances = scenario["eps"], scenario["eta"], scenario["tol"]
     cases = _random_calls("sampled-pathwise-1", sampled, domain, dominator,
-                          scenario["eps"], scenario["eta"], scenario["tol"])
+                          *tolerances)
+    cases += _holed_cases(a, b, space, domain, dominator, *tolerances)
 
     two = DiscreteProbabilitySpace.uniform(("w1", "w2"))
     pointwise = PathwiseRandomFunction(

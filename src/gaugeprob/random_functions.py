@@ -22,6 +22,10 @@ from .gauges import GaugeFamily, intersect_families
 from .probability import DiscreteProbabilitySpace, RandomVariable
 from .quadrature import ScalarIntegrand
 
+# Pathwise values are evaluated in column blocks of at most this many
+# (outcome, tag) cells, so no outcomes x tags matrix is held whole.
+_BLOCK_CELLS = 1 << 20
+
 
 @dataclass(frozen=True)
 class SeparableRandomFunction:
@@ -66,10 +70,14 @@ class SeparableRandomFunction:
 class PathwiseRandomFunction:
     """f given by a pure pathwise evaluator.
 
-    ``matrix_evaluate`` maps a tag array to the full (outcomes x tags) value
-    matrix.  A pointwise ``evaluate(t, outcome)`` may be given instead, at
-    construction only: it is lifted once to the loop over every outcome and
-    tag that fills the matrix.
+    ``matrix_evaluate`` maps a tag array to its (outcomes x tags) value
+    matrix.  It is called on contiguous slices of a division's tags and
+    must return one row per outcome for any slice: the dense sum, the mean
+    path and the domination check evaluate f in the same column blocks of
+    at most ``_BLOCK_CELLS`` (2^20) cells.  A pointwise
+    ``evaluate(t, outcome)`` may be given instead, at construction only: it
+    is lifted once to the loop over every outcome and tag that fills the
+    matrix.
     """
 
     space: DiscreteProbabilitySpace
@@ -130,8 +138,23 @@ def values_matrix(f: PathwiseRandomFunction, ts: np.ndarray) -> np.ndarray:
         return np.asarray(f.matrix_evaluate(ts), dtype=float)
 
 
+def value_blocks(f: PathwiseRandomFunction, ts: np.ndarray):
+    """Yield (start, values_matrix(f, ts[start:start + step])) over
+    consecutive column blocks of the tags, each of at most _BLOCK_CELLS
+    cells (at least one column)."""
+    step = max(1, _BLOCK_CELLS // f.space.size)
+    for start in range(0, ts.size, step):
+        yield start, values_matrix(f, ts[start:start + step])
+
+
 def expectation_function(f: RandomFunction) -> ScalarIntegrand:
-    """The deterministic function t -> E[f(t, .)], as a scalar integrand."""
+    """The deterministic function t -> E[f(t, .)], as a scalar integrand.
+
+    A pathwise mean is taken block by block over ``value_blocks``, as the
+    weighted column sums ``(weights[:, None] * block).sum(axis=0)``: each
+    column is summed over the outcomes in order, so the result does not
+    change a bit with the block size.  (``weights @ block`` would: BLAS
+    rounds a column by its position in the product.)"""
     weights = np.array(f.space.weights)
 
     if isinstance(f, SeparableRandomFunction):
@@ -144,6 +167,10 @@ def expectation_function(f: RandomFunction) -> ScalarIntegrand:
 
     else:
         def fn(ts: np.ndarray) -> np.ndarray:
-            return weights @ values_matrix(f, np.asarray(ts, dtype=float))
+            ts = np.asarray(ts, dtype=float)
+            with np.errstate(invalid="ignore"):  # 0 * inf: NaN, reported later
+                means = [(weights[:, None] * block).sum(axis=0)
+                         for _, block in value_blocks(f, ts)]
+            return np.concatenate(means or [np.empty(0)])
 
     return ScalarIntegrand(name="mean-path", fn=fn, gauge_family=f.gauge_family)

@@ -14,6 +14,7 @@ verified/unverified flag instead of a truth claim.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -43,6 +44,7 @@ from .random_functions import (
     SeparableRandomFunction,
     as_pathwise,
     expectation_function,
+    value_blocks,
     values_matrix,
 )
 
@@ -59,14 +61,12 @@ _FRESH_SPLIT = 0.45
 _VERIFY_EXTRA_LEVELS = 12
 _VERIFY_PIECE_GUARD = 8_000_000
 
-# Pointwise values of f are evaluated in column blocks of at most this many
-# (outcome, tag) cells.
-_BLOCK_CELLS = 1 << 20
-
 # A rank-K sum is taken only when sum_k max|C_k| max|phi_k(tags)|, times the
 # division's width, is below this bound: then no cell, partial sum or total
 # of the rank-K or the dense route can overflow.
 _SAFE_REACH = np.finfo(float).max / 2.0
+
+log = logging.getLogger("gaugeprob")
 
 
 @dataclass(frozen=True)
@@ -135,22 +135,45 @@ def random_riemann_sum(f: RandomFunction, division: TaggedDivision) -> RandomVar
     the last bits, not bit for bit.  When a basis value is not finite or a
     cell C_ik phi_k(t) could overflow, f is summed densely instead, so the
     error names the same tag and outcome as the dense sum.
+
+    The dense sum accumulates ``block @ widths`` over ``value_blocks``, the
+    column blocks of at most 2^20 cells that the mean path and the
+    domination check share.  A non-finite value names the lowest outcome
+    that has one, then its lowest tag, as one check of the whole matrix
+    would; finite values whose sum overflows name the outcome.
     """
     if isinstance(f, SeparableRandomFunction):
         sums = _rank_k_sums(f, division)
         if sums is not None:
             return RandomVariable(space=f.space, values=sums)
         f = as_pathwise(f)
-    matrix = values_matrix(f, division.tags)
-    bad = ~np.isfinite(matrix)
-    if bad.any():
-        outcome, col = (int(i) for i in np.argwhere(bad)[0])
+    widths = division.widths
+    sums = np.full(f.space.size, -0.0)  # -0.0 + x == x, bit for bit
+    first = None  # (outcome, column) of the first non-finite value
+    for start, block in value_blocks(f, division.tags):
+        bad = ~np.isfinite(block)
+        if bad.any():
+            outcome, col = (int(i) for i in np.argwhere(bad)[0])
+            place = outcome, start + col
+            first = place if first is None else min(first, place)
+        elif first is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums += block @ widths[start:start + block.shape[1]]
+    if first is not None:
+        outcome, col = first
         tag = float(division.tags[col])
         raise EvaluationError(
             f"random function returned a non-finite value at tag {tag!r}, "
             f"outcome {outcome}", tag=tag, outcome=outcome,
         )
-    return RandomVariable(space=f.space, values=matrix @ division.widths)
+    overflowed = np.nonzero(~np.isfinite(sums))[0]
+    if overflowed.size:
+        outcome = int(overflowed[0])
+        raise EvaluationError(
+            "Riemann sum of the random function is not finite at outcome "
+            f"{outcome}", outcome=outcome,
+        )
+    return RandomVariable(space=f.space, values=sums)
 
 
 def _separable_sums(f: SeparableRandomFunction,
@@ -192,7 +215,10 @@ def _settle(levels, tol: float):
     levels = iter(levels)
     rule = Settle(tol)
     for item in levels:
-        if rule.feed(item[-1].values):
+        done = rule.feed(item[-1].values)
+        log.info("level %d: %d of %d outcomes settled", item[0],
+                 np.count_nonzero(rule.settled), rule.settled.size)
+        if done:
             break
     integral = RandomVariable(space=item[-1].space, values=rule.values)
     failed = tuple(int(i) for i in np.nonzero(~rule.settled)[0])
@@ -473,19 +499,17 @@ def _domination_violation(f: RandomFunction, ts: np.ndarray,
                           dominator: RandomVariable):
     """First point of ts where |f(t, .)| exceeds the dominator on outcomes
     of positive weight, with those outcomes; None if there is none.  The
-    values are evaluated in column blocks of at most _BLOCK_CELLS cells."""
+    values are evaluated block by block over ``value_blocks``."""
     view = as_pathwise(f)
     positive = (np.array(view.space.weights) > 0)[:, None]
     bound = dominator.values[:, None]
-    step = max(1, _BLOCK_CELLS // view.space.size)
-    for start in range(0, ts.size, step):
-        block = ts[start:start + step]
-        exceeded = (np.abs(values_matrix(view, block)) > bound) & positive
+    for start, block in value_blocks(view, ts):
+        exceeded = (np.abs(block) > bound) & positive
         cols = np.nonzero(exceeded.any(axis=0))[0]
         if cols.size:
             col = int(cols[0])
             outcomes = tuple(int(i) for i in np.nonzero(exceeded[:, col])[0])
-            return float(block[col]), outcomes
+            return float(ts[start + col]), outcomes
     return None
 
 

@@ -399,6 +399,27 @@ class TestScenarioFiles:
                        "non-finite value at tag 0.25, outcome 1\n")
         assert [str(w.message) for w in caught] == []
 
+    @pytest.mark.parametrize("command", [
+        "integrate-prob", "uniqueness", "riemann-prob", "convergence-table"])
+    def test_overflowing_sum_names_its_outcome_alone(self, capsys, tmp_path,
+                                                     command):
+        scenario = {
+            "space": {"outcomes": ["a", "b"], "weights": [0.5, 0.5]},
+            "domain": [0.0, 10.0],
+            "function": {"form": "separable",
+                         "terms": [{"values": [1.0, 1e308],
+                                    "basis": "constant"}]},
+        }
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, command, "--scenario",
+                                     self.write(tmp_path, scenario))
+        assert code == 1
+        assert out == ""
+        assert err == ("gaugeprob: error: Riemann sum of the random function "
+                       "is not finite at outcome 1\n")
+        assert [str(w.message) for w in caught] == []
+
     def test_gauge_override_by_id(self, capsys, tmp_path):
         scenario = {"catalog": "monomial2", "gauge": "uniform-2/3"}
         code, report = run_json(

@@ -108,10 +108,10 @@ class TestFubiniCheck:
 
 class TestBlockedDominationCheck:
     def test_violation_in_a_later_block_matches_one_evaluation(self):
-        from gaugeprob import PathwiseRandomFunction, stochastic
+        from gaugeprob import PathwiseRandomFunction, random_functions, stochastic
         from gaugeprob.random_functions import values_matrix
 
-        step = stochastic._BLOCK_CELLS // SPACE.size
+        step = random_functions._BLOCK_CELLS // SPACE.size
         ts = np.linspace(0.0, 1.0, step + 100)
         start = ts[step + 40]  # in the second block
         calls = []

@@ -1,4 +1,6 @@
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from gaugeprob import (
     random_riemann_sum,
     riemann_sum_scalar,
 )
+from gaugeprob import random_functions
 from gaugeprob.random_functions import values_matrix
 
 SPACE = DiscreteProbabilitySpace.uniform(("w1", "w2"))
@@ -195,6 +198,110 @@ class TestPathwiseForm:
             random_riemann_sum(f, two_piece_division())
         assert err.value.tag == 0.75
         assert err.value.outcome == 1
+
+
+def cosine_paths(n: int, seed: int = 0) -> PathwiseRandomFunction:
+    """cos(a_w t + b_w) on n equally weighted outcomes."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0.5, 8.0, n), rng.uniform(0.0, 6.0, n)
+    return PathwiseRandomFunction(
+        space=DiscreteProbabilitySpace.uniform(n),
+        matrix_evaluate=lambda ts: np.cos(np.multiply.outer(a, ts)
+                                          + b[:, None]))
+
+
+def midpoint_division(pieces: int) -> TaggedDivision:
+    points = np.linspace(0.0, 1.0, pieces + 1)
+    return TaggedDivision(points=points, tags=(points[:-1] + points[1:]) / 2)
+
+
+class TestColumnBlocks:
+    """The dense sum and the pathwise mean evaluate f in column blocks of at
+    most _BLOCK_CELLS cells, with the error contract of one whole matrix."""
+
+    def test_peak_memory_is_a_few_blocks(self):
+        f = cosine_paths(2048)
+        division = midpoint_division(8192)
+        assert 2048 * 8192 >= 16 * random_functions._BLOCK_CELLS
+        bound = 5 * random_functions._BLOCK_CELLS * 8
+        mean = expectation_function(f)
+        tracemalloc.start()
+        try:
+            for call in (lambda: random_riemann_sum(f, division),
+                         lambda: mean.values_at(division.tags)):
+                tracemalloc.reset_peak()
+                call()
+                assert tracemalloc.get_traced_memory()[1] < bound
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("cells, blocks", [(30, 1), (15, 2), (3, 10)])
+    def test_blocked_sums_match_one_matrix(self, monkeypatch, cells, blocks):
+        monkeypatch.setattr(random_functions, "_BLOCK_CELLS", cells)
+        f = cosine_paths(3)
+        division = midpoint_division(10)
+        calls = []
+        evaluate = f.matrix_evaluate
+        f = PathwiseRandomFunction(
+            space=f.space,
+            matrix_evaluate=lambda ts: calls.append(ts.size) or evaluate(ts))
+        whole = evaluate(division.tags)
+        sums = random_riemann_sum(f, division).values
+        assert len(calls) == blocks
+        np.testing.assert_allclose(sums, whole @ division.widths,
+                                   rtol=0, atol=1e-12)
+        weights = np.array(f.space.weights)
+        assert (expectation_function(f).values_at(division.tags).tolist()
+                == (weights[:, None] * whole).sum(axis=0).tolist())
+
+    def test_non_finite_cells_in_two_blocks_name_the_lowest_outcome(
+            self, monkeypatch):
+        monkeypatch.setattr(random_functions, "_BLOCK_CELLS", 8)
+        division = midpoint_division(8)  # 4 outcomes: blocks of 2 columns
+        tags = division.tags
+
+        def matrix(ts):
+            values = np.zeros((4, ts.size))
+            values[3, ts == tags[1]] = math.inf  # block 0, outcome 3
+            values[1, (ts == tags[6]) | (ts == tags[7])] = math.nan  # block 3
+            return values
+
+        f = PathwiseRandomFunction(space=DiscreteProbabilitySpace.uniform(4),
+                                   matrix_evaluate=matrix)
+        outcome, col = np.argwhere(~np.isfinite(matrix(tags)))[0]
+        assert (outcome, col) == (1, 6)
+        with pytest.raises(EvaluationError) as err:
+            random_riemann_sum(f, division)
+        assert (err.value.outcome, err.value.tag) == (1, float(tags[6]))
+        assert str(err.value) == (
+            "random function returned a non-finite value at tag "
+            f"{float(tags[6])!r}, outcome 1")
+
+    def test_overflowing_sum_names_its_outcome(self):
+        f = PathwiseRandomFunction(
+            space=SPACE,
+            matrix_evaluate=lambda ts: np.outer([1.0, 1e308],
+                                                np.ones_like(ts)))
+        division = TaggedDivision(points=np.array([0.0, 5.0, 10.0]),
+                                  tags=np.array([2.5, 7.5]))
+        with pytest.raises(EvaluationError) as err:
+            random_riemann_sum(f, division)
+        assert str(err.value) == (
+            "Riemann sum of the random function is not finite at outcome 1")
+        assert (err.value.outcome, err.value.tag) == (1, None)
+
+
+def test_each_settle_level_is_logged(caplog):
+    f = PathwiseRandomFunction(space=SPACE,
+                               evaluate=lambda t, i: (i + 1) * t * t)
+    with caplog.at_level(logging.INFO, logger="gaugeprob"):
+        res = integrate_pathwise(f, Interval(0.0, 1.0), 1e-3, 1e-2, 1e-6)
+    settled = [r.getMessage() for r in caplog.records
+               if r.name == "gaugeprob" and "outcomes settled" in r.getMessage()]
+    assert res.verified
+    assert len(settled) == res.levels_used + 1
+    assert settled[0] == "level 0: 0 of 2 outcomes settled"
+    assert settled[-1] == f"level {res.levels_used}: 2 of 2 outcomes settled"
 
 
 class TestAsPathwise:
