@@ -31,8 +31,8 @@ code, stderr, the report's shape, every string, integer and flag
 ``fsum`` probabilities.  Byte identity stays the default.
 
 Scenario files, including the sampled scenarios that ``bench/inputs.py``
-generates, are written to the same temporary directory, which is removed
-afterwards.
+generates and a sampled separable scenario of 10^5 outcomes, are written to
+the same temporary directory, which is removed afterwards.
 """
 
 from __future__ import annotations
@@ -68,6 +68,13 @@ SCENARIOS = {
         "space": {"sample": {"distribution": "uniform01", "n": 32}},
         "function": {"form": "separable", "terms": [
             {"values": {"sample": {"distribution": "uniform01"}},
+             "basis": "linear"}]}},
+    "sampled-100k": {
+        "space": {"sample": {"distribution": "uniform01", "n": 100_000}},
+        "function": {"form": "separable", "terms": [
+            {"values": {"sample": {"distribution": "uniform -2|2"}},
+             "basis": "trig-mix"},
+            {"values": {"sample": {"distribution": "uniform -2|2"}},
              "basis": "linear"}]}},
     "unknown-distribution": {
         "space": {"sample": {"distribution": "nonsense", "n": 16}},
@@ -114,6 +121,8 @@ def gate_commands(scenario_dir: Path) -> list[list[str]]:
         ["integrate-prob", *scenario("trig-coeff-constant")],
         ["integrate-prob", *scenario("sampled-uniform01"), "--seed", "11"],
         ["integrate-prob", *scenario("unknown-distribution")],
+        ["integrate-prob", *scenario("sampled-100k"), "--seed", "5"],
+        ["uniqueness", *scenario("sampled-100k"), "--seed", "5"],
     ]
     for seed in SAMPLED_SEEDS:
         sampled = scenario(f"sampled-separable-{seed}")

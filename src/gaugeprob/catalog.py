@@ -172,14 +172,16 @@ def gauge_family_ids() -> tuple[str, ...]:
     return tuple(sorted(_GAUGE_BUILDERS))
 
 
+def _lookup(entries: dict, identifier, kind: str):
+    """The entry under a string id; any other id is unknown."""
+    if isinstance(identifier, str) and identifier in entries:
+        return entries[identifier]
+    raise ScenarioError(f"unknown {kind} {identifier!r}; "
+                        f"known: {', '.join(sorted(entries))}")
+
+
 def gauge_family(identifier: str, domain: Interval) -> GaugeFamily:
-    try:
-        builder = _GAUGE_BUILDERS[identifier]
-    except KeyError:
-        raise ScenarioError(
-            f"unknown gauge family {identifier!r}; "
-            f"known: {', '.join(gauge_family_ids())}"
-        ) from None
+    builder = _lookup(_GAUGE_BUILDERS, identifier, "gauge family")
     return builder(Interval.coerce(domain))
 
 
@@ -215,12 +217,7 @@ def scalar_ids() -> tuple[str, ...]:
 
 
 def scalar_integrand(identifier: str) -> ScalarIntegrand:
-    try:
-        return _scalar_entries()[identifier]
-    except KeyError:
-        raise ScenarioError(
-            f"unknown integrand {identifier!r}; known: {', '.join(scalar_ids())}"
-        ) from None
+    return _lookup(_scalar_entries(), identifier, "integrand")
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +335,7 @@ def dominated_ids() -> tuple[str, ...]:
 
 
 def random_entry(identifier: str) -> RandomEntry:
-    try:
-        return _random_entries()[identifier]
-    except KeyError:
-        raise ScenarioError(
-            f"unknown random function {identifier!r}; "
-            f"known: {', '.join(random_ids())}"
-        ) from None
+    return _lookup(_random_entries(), identifier, "random function")
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +379,4 @@ def ftc_ids() -> tuple[str, ...]:
 
 
 def ftc_entry(identifier: str) -> FtcEntry:
-    try:
-        return _ftc_entries()[identifier]
-    except KeyError:
-        raise ScenarioError(
-            f"unknown antiderivative pair {identifier!r}; "
-            f"known: {', '.join(ftc_ids())}"
-        ) from None
+    return _lookup(_ftc_entries(), identifier, "antiderivative pair")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -47,6 +48,10 @@ _STATUS_EXIT = {"verified": 0, "pass": 0, "table": 0, "unverified": 2, "fail": 2
 # A sampled space holds one label, weight and coefficient per outcome, so a
 # larger n runs out of memory before any work starts.  Fixed, not a setting.
 MAX_SAMPLED_OUTCOMES = 10_000_000
+
+# derivative's grid is built point by point, so a larger count runs out of
+# memory before any error.  Fixed, not a setting.
+MAX_GRID_POINTS = 10_000
 
 _DEFAULTS = {
     "eps": 1e-3,
@@ -122,12 +127,21 @@ def _load_scenario(config: RunConfig) -> dict:
 
 
 def _float(name: str, value) -> float:
-    """A scenario number as a float; an integer too large for one is an
-    error that names its field."""
+    """A scenario number as a float; a value that is not a number, or an
+    integer too large for a float, is an error that names its field."""
+    if not isinstance(value, (int, float)):
+        raise ScenarioError(f"{name}: expected a number, got {value!r}")
     try:
         return float(value)
     except OverflowError as exc:
         raise ScenarioError(f"{name}: {exc}") from None
+
+
+def _finite(name: str, value) -> float:
+    value = _float(name, value)
+    if not math.isfinite(value):
+        raise ScenarioError(f"{name}: must be finite, got {value}")
+    return value
 
 
 def _domain(scenario: dict, default) -> Interval:
@@ -154,7 +168,7 @@ def _number(config: RunConfig, scenario: dict, key: str, default=None):
     return int(value) if key == "levels" else _positive(name, value)
 
 
-def _resolve_space(data, seed: int) -> DiscreteProbabilitySpace:
+def _resolve_space(data) -> DiscreteProbabilitySpace:
     if not isinstance(data, dict):
         raise ScenarioError("scenario.space: expected an object")
     if "sample" in data:
@@ -229,7 +243,7 @@ def _resolve_function(scenario: dict, seed: int
         )
     if "space" not in scenario:
         raise ScenarioError("scenario.space: required with an explicit function")
-    space = _resolve_space(scenario["space"], seed)
+    space = _resolve_space(scenario["space"])
     terms = spec.get("terms")
     if not isinstance(terms, list) or not terms:
         raise ScenarioError("scenario.function.terms: expected a nonempty list")
@@ -381,7 +395,7 @@ def _resolve_pair(scenario: dict, seed: int):
         entry = catalog.ftc_entry(scenario["catalog"])
         domain = _domain(scenario, entry.domain)
         return (entry.antiderivative, entry.derivative, domain,
-                _float("scenario.t0", scenario.get("t0", entry.t0)))
+                _finite("scenario.t0", scenario.get("t0", entry.t0)))
     if "F" not in scenario or "f" not in scenario:
         raise ScenarioError("scenario.F / scenario.f: both required without "
                             "a catalog id")
@@ -390,15 +404,20 @@ def _resolve_pair(scenario: dict, seed: int):
     lower, _, _ = _resolve_function(
         {**scenario, "function": scenario["f"]}, seed)
     return (upper, lower, domain,
-            _float("scenario.t0", scenario.get("t0", 0.5)))
+            _finite("scenario.t0", scenario.get("t0", 0.5)))
 
 
 def _run_derivative(config: RunConfig, scenario: dict):
+    radius = _finite("scenario.grid_radius", scenario.get("grid_radius", 1e-3))
+    if radius == 0:
+        raise ScenarioError("scenario.grid_radius: must be non-zero")
+    points = int(scenario.get("grid_points", 16))
+    if points > MAX_GRID_POINTS:
+        raise ScenarioError(f"scenario.grid_points: at most {MAX_GRID_POINTS} "
+                            f"points, got {points}")
     F, f, domain, t0 = _resolve_pair(scenario, config.seed)
     eps = _number(config, scenario, "eps", "derivative_eps")
     eta = _number(config, scenario, "eta")
-    radius = _float("scenario.grid_radius", scenario.get("grid_radius", 1e-3))
-    points = int(scenario.get("grid_points", 16))
     report = derivative_in_probability_at(F, f, t0, eps, eta,
                                           radius=radius, points=points)
     parameters = {

@@ -19,34 +19,50 @@ from .errors import SpaceMismatchError
 _WEIGHT_SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteProbabilitySpace:
     """Outcome labels plus nonnegative weights summing to one.
 
-    Weights must already sum to 1 within 1e-12; they are renormalized
-    exactly on construction so downstream sums see total mass 1.
+    ``weights`` is a read-only 1-D float64 array, copied from the input on
+    construction.  The weights must already sum to 1 within 1e-12; each is
+    divided by their ``math.fsum`` total, so downstream sums see total
+    mass 1.  Spaces compare and hash by value: equal labels and equal
+    weights.
     """
 
     labels: tuple[str, ...]
-    weights: tuple[float, ...]
+    weights: np.ndarray
 
     def __post_init__(self):
         labels = tuple(str(x) for x in self.labels)
-        weights = tuple(float(w) for w in self.weights)
+        weights = np.array(self.weights, dtype=float)
         if len(labels) == 0:
             raise ValueError("a probability space needs at least one outcome")
-        if len(labels) != len(weights):
+        if weights.shape != (len(labels),):
             raise ValueError("labels and weights must have equal length")
-        if any(not math.isfinite(w) or w < 0 for w in weights):
+        if not (np.isfinite(weights) & (weights >= 0)).all():
             raise ValueError("weights must be finite and nonnegative")
-        total = math.fsum(weights)
+        total = math.fsum(weights.tolist())
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(
                 f"weights must sum to 1 within {_WEIGHT_SUM_TOL}, got {total!r}"
             )
-        weights = tuple(w / total for w in weights)
+        weights /= total
+        weights.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "weights", weights)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, DiscreteProbabilitySpace):
+            return NotImplemented
+        return (self.labels == other.labels
+                and np.array_equal(self.weights, other.weights))
+
+    def __hash__(self):
+        # + 0.0 turns a -0.0 weight into 0.0, which compares equal to it.
+        return hash((self.labels, (self.weights + 0.0).tobytes()))
 
     @property
     def size(self) -> int:
@@ -62,15 +78,14 @@ class DiscreteProbabilitySpace:
         n = len(labels)
         if n == 0:
             raise ValueError("a probability space needs at least one outcome")
-        return cls(labels=labels, weights=tuple(1.0 / n for _ in range(n)))
+        return cls(labels=labels, weights=np.full(n, 1.0 / n))
 
     def as_dict(self) -> dict:
-        return {"outcomes": list(self.labels), "weights": list(self.weights)}
+        return {"outcomes": list(self.labels), "weights": self.weights.tolist()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "DiscreteProbabilitySpace":
-        return cls(labels=tuple(data["outcomes"]),
-                   weights=tuple(float(w) for w in data["weights"]))
+        return cls(labels=tuple(data["outcomes"]), weights=data["weights"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +163,8 @@ class RandomVariable:
 def prob_event(space: DiscreteProbabilitySpace,
                predicate: Callable[[int], bool]) -> float:
     """Exact probability of the event {i : predicate(i)}."""
-    return math.fsum(w for i, w in enumerate(space.weights) if predicate(i))
+    return math.fsum(w for i, w in enumerate(space.weights.tolist())
+                     if predicate(i))
 
 
 def deviation_probability(x: RandomVariable, y: RandomVariable,
@@ -157,13 +173,12 @@ def deviation_probability(x: RandomVariable, y: RandomVariable,
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive, got {eps}")
     x._check_space(y)
-    weights = np.asarray(x.space.weights)
-    return math.fsum(weights[np.abs(x.values - y.values) >= eps])
+    return math.fsum(x.space.weights[np.abs(x.values - y.values) >= eps])
 
 
 def expectation(x: RandomVariable) -> float:
     """Exact weighted mean."""
-    return math.fsum(np.asarray(x.space.weights) * x.values)
+    return math.fsum(x.space.weights * x.values)
 
 
 def moment(x: RandomVariable, p: float) -> float:
@@ -175,8 +190,8 @@ def moment(x: RandomVariable, p: float) -> float:
     """
     if not (math.isfinite(p) and p >= 1):
         raise ValueError(f"moment order must be >= 1, got {p}")
-    return math.fsum(w * abs(v) ** p
-                     for w, v in zip(x.space.weights, x.values.tolist()))
+    return math.fsum(w * abs(v) ** p for w, v in
+                     zip(x.space.weights.tolist(), x.values.tolist()))
 
 
 def almost_surely_equal(x: RandomVariable, y: RandomVariable,
@@ -186,5 +201,5 @@ def almost_surely_equal(x: RandomVariable, y: RandomVariable,
     Zero-weight outcomes are null sets and are ignored.
     """
     x._check_space(y)
-    positive = np.asarray(x.space.weights) > 0
+    positive = x.space.weights > 0
     return bool(np.all((np.abs(x.values - y.values) <= tol)[positive]))

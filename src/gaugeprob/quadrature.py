@@ -8,6 +8,7 @@ agreeing within the tolerance is the stopping certificate.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -62,7 +63,11 @@ def riemann_sum_scalar(phi, division: TaggedDivision) -> float:
         raise EvaluationError(
             f"integrand returned a non-finite value at tag {t_bad!r}", tag=t_bad
         )
-    return float(np.sum(values * division.widths))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(values * division.widths))
+    if not math.isfinite(total):
+        raise EvaluationError("Riemann sum of the integrand is not finite")
+    return total
 
 
 def resolve_gauge_family(integrand, domain: Interval,

@@ -155,7 +155,7 @@ def expectation_function(f: RandomFunction) -> ScalarIntegrand:
     column is summed over the outcomes in order, so the result does not
     change a bit with the block size.  (``weights @ block`` would: BLAS
     rounds a column by its position in the product.)"""
-    weights = np.array(f.space.weights)
+    weights = f.space.weights
 
     if isinstance(f, SeparableRandomFunction):
         means = np.array([float(weights @ c.values) for c in f.coefficients])

@@ -501,7 +501,7 @@ def _domination_violation(f: RandomFunction, ts: np.ndarray,
     of positive weight, with those outcomes; None if there is none.  The
     values are evaluated block by block over ``value_blocks``."""
     view = as_pathwise(f)
-    positive = (np.array(view.space.weights) > 0)[:, None]
+    positive = (view.space.weights > 0)[:, None]
     bound = dominator.values[:, None]
     for start, block in value_blocks(view, ts):
         exceeded = (np.abs(block) > bound) & positive
@@ -521,7 +521,7 @@ def _fubini_rhs(f: RandomFunction, stream, dominator: RandomVariable,
     final = _, _, division, sums = next(levels)
     violation = _domination_violation(f, division.tags, dominator)
     margins = np.abs(sums.values) - dominator.values * domain.width
-    margin = float(np.max(margins[np.array(f.space.weights) > 0]))
+    margin = float(np.max(margins[f.space.weights > 0]))
     _, tails_ok = _certify(f, integral, domain, chain((final,), levels),
                            _pair_rows(1e-3, DEFAULT_ETA, tol))
     return (expectation(integral), tails_ok and not failed, violation,
@@ -549,7 +549,7 @@ def fubini_check(f: RandomFunction, domain: Interval,
     domain = Interval.coerce(domain)
     if dominator.space != f.space:
         raise SpaceMismatchError("dominator must live on the function's space")
-    if np.any((dominator.values < 0) & (np.array(dominator.space.weights) > 0)):
+    if np.any((dominator.values < 0) & (dominator.space.weights > 0)):
         raise ValueError("dominator must be nonnegative almost everywhere")
     a_moment = moment(dominator, 1)
 

@@ -111,7 +111,7 @@ def test_pinch_family_sharp_and_never_tags_the_set():
 
 def test_two_point_space_and_gauge_ids():
     sp = catalog.two_point_space()
-    assert sp.weights == (0.5, 0.5)
+    assert sp.weights.tolist() == [0.5, 0.5]
     assert "uniform" in catalog.gauge_family_ids()
     fam = catalog.gauge_family("uniform", UNIT)
     lo, hi = fam(0).at(0.5)
@@ -128,3 +128,18 @@ def test_poly5_reference_value():
 def test_trig_mix_reference_value():
     exact = (1.0 - math.cos(3.0)) / 3.0 + math.sin(2.0) / 2.0
     assert exact == pytest.approx(1.1179795, abs=1e-6)
+
+
+@pytest.mark.parametrize("lookup, kind", [
+    (lambda i: catalog.gauge_family(i, UNIT), "gauge family"),
+    (catalog.scalar_integrand, "integrand"),
+    (catalog.random_entry, "random function"),
+    (catalog.ftc_entry, "antiderivative pair"),
+])
+@pytest.mark.parametrize("identifier", [["linear"], {"id": "linear"}, None,
+                                        1.5, "nosuch"])
+def test_an_id_that_is_not_a_known_string_is_unknown(lookup, kind,
+                                                     identifier):
+    with pytest.raises(ScenarioError,
+                       match=f"^unknown {kind} .*; known: "):
+        lookup(identifier)

@@ -1,9 +1,13 @@
+import contextlib
+import copy
+import io
 import json
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gaugeprob import DiscreteProbabilitySpace
+from gaugeprob import DiscreteProbabilitySpace, cli
 from gaugeprob.cli import main
 from gaugeprob.schemas import (
     CSV_COLUMNS,
@@ -349,6 +353,91 @@ class TestScenarioFiles:
         assert err == (f"gaugeprob: error: {field}: "
                        "int too large to convert to float\n")
 
+    @pytest.mark.parametrize("command, scenario, detail", [
+        ("integrate-prob", {
+            "space": {"outcomes": ["a", "b"], "weights": [0.5, 0.5]},
+            "function": {"form": "separable", "terms": [
+                {"values": [1.0, 2.0], "basis": ["linear"]}]}},
+         "unknown integrand ['linear']; known: "),
+        ("integrate-prob", {
+            "space": {"outcomes": ["a", "b"], "weights": [0.5, 0.5]},
+            "function": {"form": "separable", "terms": [
+                {"values": [1.0, 2.0], "basis": {"id": "linear"}}]}},
+         "unknown integrand {'id': 'linear'}; known: "),
+        ("uniqueness", {"catalog": "linear-coeff",
+                        "strategies": [["uniform"], "uniform-2/3"]},
+         "unknown gauge family ['uniform']; known: "),
+        ("integrate", {"catalog": "linear", "gauge": {"constant": [0.5]}},
+         "scenario.gauge.constant: expected a number, got [0.5]"),
+        ("integrate", {"catalog": "linear", "gauge": {"constant": "x"}},
+         "scenario.gauge.constant: expected a number, got 'x'"),
+        ("integrate", {"catalog": "linear", "gauge": {"constant": None}},
+         "scenario.gauge.constant: expected a number, got None"),
+    ])
+    def test_wrong_json_type_is_named_alone(self, capsys, tmp_path, command,
+                                            scenario, detail):
+        err = self.run_named_error(capsys, tmp_path, command, scenario)
+        assert err.startswith(f"gaugeprob: error: {detail}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("scenario, detail", [
+        ({"t0": float("inf")}, "scenario.t0: must be finite, got inf"),
+        ({"t0": float("nan")}, "scenario.t0: must be finite, got nan"),
+        ({"grid_radius": float("inf")},
+         "scenario.grid_radius: must be finite, got inf"),
+        ({"grid_radius": float("-inf")},
+         "scenario.grid_radius: must be finite, got -inf"),
+        ({"grid_radius": 0}, "scenario.grid_radius: must be non-zero"),
+        ({"grid_points": 10_001},
+         "scenario.grid_points: at most 10000 points, got 10001"),
+    ])
+    def test_derivative_grid_is_named_alone(self, capsys, tmp_path, scenario,
+                                            detail):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = self.run_named_error(
+                capsys, tmp_path, "derivative",
+                {"catalog": "ftc-quadratic", **scenario})
+        assert err == f"gaugeprob: error: {detail}\n"
+        assert [str(w.message) for w in caught] == []
+
+    def test_huge_grid_is_refused_before_building(self, capsys, tmp_path,
+                                                  monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the grid must not be built")
+
+        monkeypatch.setattr(cli, "_resolve_pair", refuse)
+        monkeypatch.setattr(cli, "derivative_in_probability_at", refuse)
+        err = self.run_named_error(
+            capsys, tmp_path, "derivative",
+            {"catalog": "ftc-quadratic", "grid_points": 10 ** 400})
+        assert err == ("gaugeprob: error: scenario.grid_points: at most "
+                       f"10000 points, got {10 ** 400}\n")
+
+    def test_largest_grid_runs(self, capsys, tmp_path):
+        scenario = {"catalog": "ftc-quadratic",
+                    "grid_points": cli.MAX_GRID_POINTS}
+        code, report = run_json(capsys, "derivative", "--scenario",
+                                self.write(tmp_path, scenario))
+        assert code == 0
+        assert len(report["result"]["rows"]) == cli.MAX_GRID_POINTS
+
+    def test_overflowing_scalar_sum_is_named_alone(self, capsys, tmp_path):
+        scenario = {
+            "space": {"outcomes": ["a", "b"], "weights": [0.5, 0.5]},
+            "domain": [0.0, 10.0],
+            "function": {"form": "separable",
+                         "terms": [{"values": [1.0, 1e308],
+                                    "basis": "constant"}]},
+            "dominator": {"values": [2.0, 1.5e308]},
+        }
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = self.run_named_error(capsys, tmp_path, "fubini", scenario)
+        assert err == ("gaugeprob: error: Riemann sum of the integrand is "
+                       "not finite\n")
+        assert [str(w.message) for w in caught] == []
+
     def test_malformed_json_names_line(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\n  \"domain\": [0, 1\n", encoding="utf-8")
@@ -496,3 +585,94 @@ class TestSchemaValidation:
             load_scenario_text('{"eps": "big"}')
         with pytest.raises(ScenarioError):
             load_scenario_text('{"levels": 3.5}')
+
+
+# The exit contract under malformed scenarios: one small valid scenario per
+# command, with one field replaced by a value of the wrong type or range.
+_SAMPLED_SPACE = {"sample": {"distribution": "uniform01", "n": 4}}
+_TERMS = [{"values": {"sample": {"distribution": "uniform -2|2"}},
+           "basis": "linear"},
+          {"values": [1.0, 2.0, 3.0, 4.0], "basis": "trig-mix"}]
+_FUNCTION = {"form": "separable", "terms": _TERMS}
+_PAIR = {"space": _SAMPLED_SPACE,
+         "F": {"form": "separable", "terms": [
+             {"values": [1.0, 2.0, 3.0, 4.0], "basis": "monomial2"}]},
+         "f": {"form": "separable", "terms": [
+             {"values": [2.0, 4.0, 6.0, 8.0], "basis": "linear"}]},
+         "gauge": {"constant": 0.5}}
+FUZZ_SCENARIOS = {
+    "integrate": {"catalog": "monomial2", "gauge": {"constant": 0.5}},
+    "integrate-prob": {"space": _SAMPLED_SPACE, "function": _FUNCTION,
+                       "gauge": {"constant": 0.5}},
+    "riemann-prob": {"space": _SAMPLED_SPACE, "function": _FUNCTION},
+    "uniqueness": {"space": _SAMPLED_SPACE, "function": _FUNCTION,
+                   "strategies": ["uniform", "uniform-2/3"]},
+    "fubini": {"space": _SAMPLED_SPACE, "function": _FUNCTION,
+               "dominator": {"values": [20.0, 20.0, 20.0, 20.0]}},
+    "derivative": {**_PAIR, "t0": 0.5, "grid_radius": 1e-3,
+                   "grid_points": 4},
+    "ftc": _PAIR,
+    "convergence-table": {"space": _SAMPLED_SPACE, "function": _FUNCTION,
+                          "gauge": {"constant": 0.5}},
+}
+TOP_LEVEL_FIELDS = ("schema", "catalog", "space", "function", "domain", "eps",
+                    "eta", "tol", "levels", "gauge", "strategies", "dominator",
+                    "t0", "grid_radius", "grid_points", "F", "f")
+NESTED_FIELDS = (("function", "terms", 0, "basis"),
+                 ("function", "terms", 0, "values"),
+                 ("function", "terms", 1, "basis"),
+                 ("function", "terms", 1, "values"),
+                 ("F", "terms", 0, "basis"), ("f", "terms", 0, "values"),
+                 ("strategies", 0), ("strategies", 1),
+                 ("gauge", "constant"), ("space", "sample", "n"),
+                 ("dominator", "values"))
+FUZZ_VALUES = ([1], {}, "x", None, True, float("nan"), float("inf"),
+               float("-inf"), 10 ** 400, 0, -1)
+
+
+def _holds(data, path):
+    for key in path:
+        if isinstance(key, int):
+            if not (isinstance(data, list) and key < len(data)):
+                return False
+        elif not (isinstance(data, dict) and key in data):
+            return False
+        data = data[key]
+    return True
+
+
+@st.composite
+def malformed_scenarios(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_SCENARIOS)))
+    scenario = copy.deepcopy(FUZZ_SCENARIOS[command])
+    paths = [(key,) for key in TOP_LEVEL_FIELDS]
+    paths += [path for path in NESTED_FIELDS if _holds(scenario, path)]
+    path = draw(st.sampled_from(paths))
+    value = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+    target = scenario
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return command, scenario
+
+
+@settings(derandomize=True, max_examples=150)
+@given(malformed_scenarios())
+def test_malformed_scenarios_keep_the_exit_contract(tmp_path_factory, case):
+    command, scenario = case
+    path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--scenario", str(path), "--levels", "3"])
+    assert code in (0, 1, 2), err.getvalue()
+    assert [str(w.message) for w in caught] == []
+    assert "Traceback" not in err.getvalue()
+    assert "Warning" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("gaugeprob: error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        validate_report(json.loads(out.getvalue()))

@@ -64,6 +64,101 @@ class TestSpaceConstruction:
         assert DiscreteProbabilitySpace.from_dict(sp.as_dict()) == sp
 
 
+def tuple_weights(weights):
+    """The normalised weights as a tuple of floats, each divided by their
+    fsum total: the space's weights before they became an array."""
+    weights = tuple(float(w) for w in weights)
+    total = math.fsum(weights)
+    return tuple(w / total for w in weights)
+
+
+@st.composite
+def near_unit_weights(draw):
+    raw = draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
+                        min_size=1, max_size=60).filter(lambda r: sum(r) > 0))
+    total = math.fsum(raw)
+    return [r / total for r in raw]
+
+
+class TestWeightArray:
+    def check(self, sp, expected):
+        assert isinstance(sp.weights, np.ndarray)
+        assert sp.weights.dtype == np.float64
+        assert sp.weights.shape == (sp.size,)
+        assert not sp.weights.flags.writeable
+        # Bit for bit: the same float64 bytes, in order.
+        assert sp.weights.tobytes() == np.array(expected).tobytes()
+
+    @given(near_unit_weights())
+    def test_every_constructor_is_bit_equal_to_the_tuple(self, weights):
+        labels = tuple(f"w{i}" for i in range(len(weights)))
+        expected = tuple_weights(weights)
+        self.check(DiscreteProbabilitySpace(labels=labels, weights=weights),
+                   expected)
+        self.check(DiscreteProbabilitySpace.from_dict(
+            {"outcomes": list(labels), "weights": weights}), expected)
+        self.check(DiscreteProbabilitySpace(labels=labels,
+                                            weights=np.array(weights)),
+                   expected)
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 10_000])
+    def test_uniform_is_bit_equal_to_the_tuple(self, n):
+        self.check(DiscreteProbabilitySpace.uniform(n),
+                   tuple_weights([1.0 / n] * n))
+
+    def test_input_is_copied(self):
+        raw = np.array([0.25, 0.75])
+        sp = DiscreteProbabilitySpace(labels=("a", "b"), weights=raw)
+        raw[0] = 0.5
+        assert sp.weights.tolist() == [0.25, 0.75]
+        with pytest.raises(ValueError):
+            sp.weights[0] = 0.5
+
+    def test_equal_spaces_compare_and_hash_equal(self):
+        a = DiscreteProbabilitySpace(labels=("x", "y"), weights=[0.25, 0.75])
+        b = DiscreteProbabilitySpace.from_dict(
+            {"outcomes": ["x", "y"], "weights": (0.25, 0.75)})
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_negative_zero_weight_is_equal_to_zero(self):
+        a = DiscreteProbabilitySpace(labels=("x", "y"), weights=[1.0, 0.0])
+        b = DiscreteProbabilitySpace(labels=("x", "y"), weights=[1.0, -0.0])
+        assert a == b and hash(a) == hash(b)
+
+    @pytest.mark.parametrize("labels, weights", [
+        (("x", "y"), [0.75, 0.25]),
+        (("x", "z"), [0.25, 0.75]),
+        (("x", "y", "z"), [0.25, 0.75, 0.0]),
+    ])
+    def test_spaces_that_differ_are_not_equal(self, labels, weights):
+        a = DiscreteProbabilitySpace(labels=("x", "y"), weights=[0.25, 0.75])
+        assert a != DiscreteProbabilitySpace(labels=labels, weights=weights)
+        assert a != ("x", "y")
+
+    def test_variables_on_equal_spaces_combine(self):
+        a = DiscreteProbabilitySpace.uniform(("x", "y"))
+        b = DiscreteProbabilitySpace.uniform(("x", "y"))
+        x = RandomVariable(space=a, values=(1.0, 2.0))
+        y = RandomVariable(space=b, values=(3.0, 5.0))
+        assert (x + y).values.tolist() == [4.0, 7.0]
+
+    @pytest.mark.parametrize("weights", [[0.5, None], [0.5, math.nan],
+                                         [0.5, math.inf]])
+    def test_weights_must_be_finite_and_nonnegative(self, weights):
+        with pytest.raises(ValueError,
+                           match="^weights must be finite and nonnegative$"):
+            DiscreteProbabilitySpace(labels=("x", "y"), weights=weights)
+
+    @pytest.mark.parametrize("weights", [[1.0], [[0.5], [0.5]], 1.0])
+    def test_one_weight_per_label(self, weights):
+        with pytest.raises(ValueError,
+                           match="^labels and weights must have equal length$"):
+            DiscreteProbabilitySpace(labels=("x", "y"), weights=weights)
+
+
 class TestRandomVariable:
     def test_length_checked(self):
         sp = space_of(0.5, 0.5)

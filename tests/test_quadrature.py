@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,16 @@ class TestRiemannSumScalar:
         with pytest.raises(EvaluationError) as err:
             riemann_sum_scalar(phi, d)
         assert err.value.tag == 0.75
+
+    def test_overflowing_sum_is_named_without_a_warning(self):
+        d = TaggedDivision(points=np.array([0.0, 5.0, 10.0]),
+                           tags=np.array([2.5, 7.5]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError,
+                               match="^Riemann sum of the integrand is not "
+                                     "finite$"):
+                riemann_sum_scalar(lambda ts: np.full_like(ts, 5e307), d)
 
     def test_accepts_scalar_integrand(self):
         d = TaggedDivision(points=np.array([0.0, 1.0]), tags=np.array([0.5]))

@@ -250,7 +250,7 @@ class TestColumnBlocks:
         assert len(calls) == blocks
         np.testing.assert_allclose(sums, whole @ division.widths,
                                    rtol=0, atol=1e-12)
-        weights = np.array(f.space.weights)
+        weights = f.space.weights
         assert (expectation_function(f).values_at(division.tags).tolist()
                 == (weights[:, None] * whole).sum(axis=0).tolist())
 

@@ -7,7 +7,7 @@ from gaugeprob import ScenarioError, sample_coefficients, sample_space, sample_v
 
 def test_two_point_exact_alternation():
     space, values = sample_space("two-point 1|2", 2, seed=0)
-    assert space.weights == (0.5, 0.5)
+    assert space.weights.tolist() == [0.5, 0.5]
     assert values.values.tolist() == [1.0, 2.0]
 
 
