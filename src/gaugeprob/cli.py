@@ -33,6 +33,7 @@ from .schemas import (
 )
 from .stochastic import (
     convergence_tails,
+    derivative_grid,
     derivative_in_probability_at,
     fubini_check,
     ftc_experiment,
@@ -418,8 +419,12 @@ def _run_derivative(config: RunConfig, scenario: dict):
     F, f, domain, t0 = _resolve_pair(scenario, config.seed)
     eps = _number(config, scenario, "eps", "derivative_eps")
     eta = _number(config, scenario, "eta")
-    report = derivative_in_probability_at(F, f, t0, eps, eta,
-                                          radius=radius, points=points)
+    grid = derivative_grid(t0, radius, points)
+    if t0 in grid:
+        raise ScenarioError(
+            f"scenario.t0, scenario.grid_radius: a grid point rounds to t0 = "
+            f"{t0!r}; grid_radius {radius!r} is too small for this t0")
+    report = derivative_in_probability_at(F, f, t0, eps, eta, grid=grid)
     parameters = {
         "domain": [domain.lower, domain.upper],
         "t0": t0, "eps": eps, "eta": eta,

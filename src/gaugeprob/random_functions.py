@@ -12,6 +12,8 @@ Two concrete forms:
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import InitVar, dataclass
 from typing import Callable, Union
 
@@ -22,9 +24,34 @@ from .gauges import GaugeFamily, intersect_families
 from .probability import DiscreteProbabilitySpace, RandomVariable
 from .quadrature import ScalarIntegrand
 
-# Pathwise values are evaluated in column blocks of at most this many
-# (outcome, tag) cells, so no outcomes x tags matrix is held whole.
+# Pathwise values are evaluated in column blocks, so no outcomes x tags
+# matrix is held whole.  About _BLOCK_CELLS (outcome, tag) cells are in
+# flight: a separable view takes blocks of up to _BLOCK_CELLS cells one
+# after another, a genuine pathwise evaluator blocks of _BLOCK_CELLS // 2
+# cells on up to _WORKERS threads.  A block holds at least one column, so
+# with more outcomes than that it is one column.
 _BLOCK_CELLS = 1 << 20
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+_WORKERS = min(2, _usable_cpus())
+_pool = None  # created on the first parallel call
+
+
+def _forget_pool() -> None:
+    # A forked child has none of the pool's threads; it makes its own.
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass(frozen=True)
@@ -74,7 +101,8 @@ class PathwiseRandomFunction:
     matrix.  It is called on contiguous slices of a division's tags and
     must return one row per outcome for any slice: the dense sum, the mean
     path and the domination check evaluate f in the same column blocks of
-    at most ``_BLOCK_CELLS`` (2^20) cells.  A pointwise
+    ``_BLOCK_CELLS // 2`` (2^19) cells.  Up to two threads call it at once,
+    on disjoint slices, so it must be pure and thread-safe.  A pointwise
     ``evaluate(t, outcome)`` may be given instead, at construction only: it
     is lifted once to the loop over every outcome and tag that fills the
     matrix.
@@ -101,6 +129,13 @@ class PathwiseRandomFunction:
         object.__setattr__(self, "matrix_evaluate", matrix_evaluate)
 
 
+class _SeparableView(PathwiseRandomFunction):
+    """``as_pathwise``'s view of a separable function.  Its blocks are
+    evaluated in the calling thread: its evaluator is cheap, and a second
+    thread's malloc arena costs more peak memory than the thread saves in
+    time."""
+
+
 RandomFunction = Union[SeparableRandomFunction, PathwiseRandomFunction]
 
 
@@ -122,7 +157,7 @@ def as_pathwise(f: RandomFunction) -> PathwiseRandomFunction:
         basis_values = np.stack([b.values_at(ts) for b in f.bases], axis=0)
         return coeffs @ basis_values
 
-    return PathwiseRandomFunction(
+    return _SeparableView(
         space=f.space,
         matrix_evaluate=matrix_evaluate,
         gauge_family=f.gauge_family,
@@ -138,19 +173,61 @@ def values_matrix(f: PathwiseRandomFunction, ts: np.ndarray) -> np.ndarray:
         return np.asarray(f.matrix_evaluate(ts), dtype=float)
 
 
-def value_blocks(f: PathwiseRandomFunction, ts: np.ndarray):
-    """Yield (start, values_matrix(f, ts[start:start + step])) over
-    consecutive column blocks of the tags, each of at most _BLOCK_CELLS
-    cells (at least one column)."""
-    step = max(1, _BLOCK_CELLS // f.space.size)
-    for start in range(0, ts.size, step):
-        yield start, values_matrix(f, ts[start:start + step])
+def _executor():
+    global _pool
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = ThreadPoolExecutor(_WORKERS,
+                                   thread_name_prefix="gaugeprob-blocks")
+    return _pool
+
+
+def map_blocks(f: PathwiseRandomFunction, ts: np.ndarray, work):
+    """Yield work(start, values_matrix(f, ts[start:start + step])) over
+    consecutive column blocks of the tags, in block order.
+
+    A block holds at least one column.  A separable view's blocks hold at
+    most _BLOCK_CELLS cells and are evaluated here, one after another.  A
+    genuine pathwise function's blocks hold _BLOCK_CELLS // 2 cells, and
+    ``work`` runs on them in up to _WORKERS pool threads, at most _WORKERS
+    blocks at a time.  The block size never depends on the CPU count, so
+    neither do the results.  An exception raised by one block is raised
+    here when its turn comes.  Closing the generator early cancels the
+    blocks not yet begun and waits for those running."""
+    view = isinstance(f, _SeparableView)
+    cells = _BLOCK_CELLS if view else _BLOCK_CELLS // 2
+    step = max(1, cells // f.space.size)
+    starts = range(0, ts.size, step)
+    if view or _WORKERS == 1 or len(starts) == 1:
+        for start in starts:
+            # The previous block is freed only once this one is built:
+            # freeing it first costs page faults on every block.
+            block = values_matrix(f, ts[start:start + step])
+            yield work(start, block)
+        return
+
+    def task(start):
+        return work(start, values_matrix(f, ts[start:start + step]))
+
+    from concurrent.futures import wait
+    pool, pending = _executor(), deque()
+    try:
+        for start in starts:
+            if len(pending) == _WORKERS:
+                yield pending.popleft().result()
+            pending.append(pool.submit(task, start))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+        wait(pending)
 
 
 def expectation_function(f: RandomFunction) -> ScalarIntegrand:
     """The deterministic function t -> E[f(t, .)], as a scalar integrand.
 
-    A pathwise mean is taken block by block over ``value_blocks``, as the
+    A pathwise mean is taken block by block over ``map_blocks``, as the
     weighted column sums ``(weights[:, None] * block).sum(axis=0)``: each
     column is summed over the outcomes in order, so the result does not
     change a bit with the block size.  (``weights @ block`` would: BLAS
@@ -166,11 +243,13 @@ def expectation_function(f: RandomFunction) -> ScalarIntegrand:
             return means @ basis_values
 
     else:
-        def fn(ts: np.ndarray) -> np.ndarray:
-            ts = np.asarray(ts, dtype=float)
+        def column_means(start, block):
             with np.errstate(invalid="ignore"):  # 0 * inf: NaN, reported later
-                means = [(weights[:, None] * block).sum(axis=0)
-                         for _, block in value_blocks(f, ts)]
+                return (weights[:, None] * block).sum(axis=0)
+
+        def fn(ts: np.ndarray) -> np.ndarray:
+            means = list(map_blocks(f, np.asarray(ts, dtype=float),
+                                    column_means))
             return np.concatenate(means or [np.empty(0)])
 
     return ScalarIntegrand(name="mean-path", fn=fn, gauge_family=f.gauge_family)

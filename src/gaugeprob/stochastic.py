@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -44,7 +45,7 @@ from .random_functions import (
     SeparableRandomFunction,
     as_pathwise,
     expectation_function,
-    value_blocks,
+    map_blocks,
     values_matrix,
 )
 
@@ -136,11 +137,12 @@ def random_riemann_sum(f: RandomFunction, division: TaggedDivision) -> RandomVar
     cell C_ik phi_k(t) could overflow, f is summed densely instead, so the
     error names the same tag and outcome as the dense sum.
 
-    The dense sum accumulates ``block @ widths`` over ``value_blocks``, the
-    column blocks of at most 2^20 cells that the mean path and the
-    domination check share.  A non-finite value names the lowest outcome
-    that has one, then its lowest tag, as one check of the whole matrix
-    would; finite values whose sum overflows name the outcome.
+    The dense sum adds each column block's row sums over ``map_blocks``,
+    the blocks the mean path and the domination check share, in block
+    order: its last bits depend on the fixed block size and never on the
+    number of CPUs.  A non-finite value names the lowest outcome that has
+    one, then its lowest tag, as one check of the whole matrix would;
+    finite values whose sum overflows name the outcome.
     """
     if isinstance(f, SeparableRandomFunction):
         sums = _rank_k_sums(f, division)
@@ -148,17 +150,27 @@ def random_riemann_sum(f: RandomFunction, division: TaggedDivision) -> RandomVar
             return RandomVariable(space=f.space, values=sums)
         f = as_pathwise(f)
     widths = division.widths
-    sums = np.full(f.space.size, -0.0)  # -0.0 + x == x, bit for bit
-    first = None  # (outcome, column) of the first non-finite value
-    for start, block in value_blocks(f, division.tags):
+
+    def block_sums(start, block):
+        """(first non-finite (outcome, column) or None, row sums or None)"""
         bad = ~np.isfinite(block)
         if bad.any():
             outcome, col = (int(i) for i in np.argwhere(bad)[0])
-            place = outcome, start + col
+            return (outcome, start + col), None
+        # einsum, not block @ widths: BLAS threads would take the CPU that
+        # the other block runs on.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return None, np.einsum("ij,j->i", block,
+                                   widths[start:start + block.shape[1]])
+
+    sums = np.full(f.space.size, -0.0)  # -0.0 + x == x, bit for bit
+    first = None  # (outcome, column) of the first non-finite value
+    for place, block_sum in map_blocks(f, division.tags, block_sums):
+        if place is not None:
             first = place if first is None else min(first, place)
         elif first is None:
             with np.errstate(over="ignore", invalid="ignore"):
-                sums += block @ widths[start:start + block.shape[1]]
+                sums += block_sum
     if first is not None:
         outcome, col = first
         tag = float(division.tags[col])
@@ -499,18 +511,23 @@ def _domination_violation(f: RandomFunction, ts: np.ndarray,
                           dominator: RandomVariable):
     """First point of ts where |f(t, .)| exceeds the dominator on outcomes
     of positive weight, with those outcomes; None if there is none.  The
-    values are evaluated block by block over ``value_blocks``."""
+    values are evaluated block by block over ``map_blocks``, which stops
+    at the first block with a violation."""
     view = as_pathwise(f)
     positive = (view.space.weights > 0)[:, None]
     bound = dominator.values[:, None]
-    for start, block in value_blocks(view, ts):
+
+    def first_violation(start, block):
         exceeded = (np.abs(block) > bound) & positive
         cols = np.nonzero(exceeded.any(axis=0))[0]
         if cols.size:
             col = int(cols[0])
             outcomes = tuple(int(i) for i in np.nonzero(exceeded[:, col])[0])
             return float(ts[start + col]), outcomes
-    return None
+        return None
+
+    with closing(map_blocks(view, ts, first_violation)) as violations:
+        return next((v for v in violations if v is not None), None)
 
 
 def _fubini_rhs(f: RandomFunction, stream, dominator: RandomVariable,
@@ -636,6 +653,16 @@ class DerivativeReport:
         }
 
 
+def derivative_grid(t0: float, radius: float, points: int) -> list[float]:
+    """The default grid of ``derivative_in_probability_at``: ``points // 2``
+    equally spaced offsets within ``radius`` on each side of t0."""
+    if points < 2:
+        raise ValueError(f"points must be >= 2, got {points}")
+    half = points // 2
+    offsets = [radius * k / half for k in range(1, half + 1)]
+    return [t0 - o for o in reversed(offsets)] + [t0 + o for o in offsets]
+
+
 def derivative_in_probability_at(F: RandomFunction, f_candidate: RandomFunction,
                                  t0: float, eps: float, eta: float,
                                  grid=None, radius: float = 1e-3,
@@ -654,11 +681,7 @@ def derivative_in_probability_at(F: RandomFunction, f_candidate: RandomFunction,
     if viewF.space != viewf.space:
         raise SpaceMismatchError("F and its candidate derivative must share a space")
     if grid is None:
-        if points < 2:
-            raise ValueError(f"points must be >= 2, got {points}")
-        half = points // 2
-        offsets = [radius * k / half for k in range(1, half + 1)]
-        grid = [t0 - o for o in reversed(offsets)] + [t0 + o for o in offsets]
+        grid = derivative_grid(t0, radius, points)
     grid = [float(t) for t in grid]
     if any(t == t0 for t in grid):
         raise ValueError("grid points must differ from t0")

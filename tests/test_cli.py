@@ -401,6 +401,18 @@ class TestScenarioFiles:
         assert err == f"gaugeprob: error: {detail}\n"
         assert [str(w.message) for w in caught] == []
 
+    @pytest.mark.parametrize("scenario, t0, radius", [
+        ({"t0": 1e20}, "1e+20", "0.001"),
+        ({"t0": 0.5, "grid_radius": 1e-20}, "0.5", "1e-20"),
+    ])
+    def test_grid_point_rounding_to_t0_names_both_fields(
+            self, capsys, tmp_path, scenario, t0, radius):
+        err = self.run_named_error(capsys, tmp_path, "derivative",
+                                   {"catalog": "ftc-quadratic", **scenario})
+        assert err == ("gaugeprob: error: scenario.t0, scenario.grid_radius: "
+                       f"a grid point rounds to t0 = {t0}; grid_radius "
+                       f"{radius} is too small for this t0\n")
+
     def test_huge_grid_is_refused_before_building(self, capsys, tmp_path,
                                                   monkeypatch):
         def refuse(*args):

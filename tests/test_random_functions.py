@@ -1,6 +1,12 @@
 import logging
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,7 +29,8 @@ from gaugeprob import (
     random_riemann_sum,
     riemann_sum_scalar,
 )
-from gaugeprob import random_functions
+from gaugeprob import random_functions, stochastic
+from gaugeprob.cli import main
 from gaugeprob.random_functions import values_matrix
 
 SPACE = DiscreteProbabilitySpace.uniform(("w1", "w2"))
@@ -235,7 +242,7 @@ class TestColumnBlocks:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("cells, blocks", [(30, 1), (15, 2), (3, 10)])
+    @pytest.mark.parametrize("cells, blocks", [(30, 2), (15, 5), (3, 10)])
     def test_blocked_sums_match_one_matrix(self, monkeypatch, cells, blocks):
         monkeypatch.setattr(random_functions, "_BLOCK_CELLS", cells)
         f = cosine_paths(3)
@@ -244,10 +251,14 @@ class TestColumnBlocks:
         evaluate = f.matrix_evaluate
         f = PathwiseRandomFunction(
             space=f.space,
-            matrix_evaluate=lambda ts: calls.append(ts.size) or evaluate(ts))
+            matrix_evaluate=lambda ts: calls.append((ts[0], ts.size))
+            or evaluate(ts))
         whole = evaluate(division.tags)
         sums = random_riemann_sum(f, division).values
-        assert len(calls) == blocks
+        # Blocks of cells // 2 cells, at least one column, on any thread.
+        step = 10 // blocks
+        assert sorted(calls) == [(division.tags[start], step)
+                                 for start in range(0, 10, step)]
         np.testing.assert_allclose(sums, whole @ division.widths,
                                    rtol=0, atol=1e-12)
         weights = f.space.weights
@@ -256,7 +267,7 @@ class TestColumnBlocks:
 
     def test_non_finite_cells_in_two_blocks_name_the_lowest_outcome(
             self, monkeypatch):
-        monkeypatch.setattr(random_functions, "_BLOCK_CELLS", 8)
+        monkeypatch.setattr(random_functions, "_BLOCK_CELLS", 16)
         division = midpoint_division(8)  # 4 outcomes: blocks of 2 columns
         tags = division.tags
 
@@ -289,6 +300,250 @@ class TestColumnBlocks:
         assert str(err.value) == (
             "Riemann sum of the random function is not finite at outcome 1")
         assert (err.value.outcome, err.value.tag) == (1, None)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """use(n): evaluate pathwise blocks on n workers, from a pool of the
+    test's own, shut down when the test ends."""
+    original = random_functions._pool
+
+    def shut_down():
+        if random_functions._pool not in (None, original):
+            random_functions._pool.shutdown()
+
+    def use(n):
+        shut_down()
+        monkeypatch.setattr(random_functions, "_WORKERS", n)
+        monkeypatch.setattr(random_functions, "_pool", None)
+
+    yield use
+    shut_down()
+
+
+def block_index(tags):
+    """The index of the column block (of one column) that ts starts."""
+    return lambda ts: int(np.searchsorted(tags, ts[0]))
+
+
+def _exit_with_sum_check(f, division, expected):
+    same = random_riemann_sum(f, division).values.tobytes() == expected
+    sys.exit(0 if same else 1)
+
+
+class TestParallelBlocks:
+    """A genuine pathwise function's blocks run on up to _WORKERS threads;
+    the results are combined in block order."""
+
+    def test_results_do_not_depend_on_the_worker_count(self, monkeypatch,
+                                                        workers):
+        monkeypatch.setattr(random_functions, "_BLOCK_CELLS", 1 << 12)
+        f = cosine_paths(50)
+        division = midpoint_division(1000)
+        tags = division.tags
+        step = (1 << 11) // 50  # 25 blocks of 40 columns
+        # Reference: the blocks' row sums added in block order.
+        blocks = [values_matrix(f, tags[start:start + step])
+                  for start in range(0, tags.size, step)]
+        expected = np.full(50, -0.0)
+        for k, block in enumerate(blocks):
+            expected += np.einsum("ij,j->i", block,
+                                  division.widths[k * step:(k + 1) * step])
+        whole = np.concatenate(blocks, axis=1)
+        # Dominated on the first 600 tags only: the first violation lies in
+        # block 15, found from the whole matrix.
+        bound = np.abs(whole[:, :600]).max(axis=1)
+        dominator = RandomVariable(space=f.space, values=bound)
+        exceeded = np.abs(whole) > bound[:, None]
+        col = int(np.nonzero(exceeded.any(axis=0))[0][0])
+        assert col // step == 15
+        violation = (float(tags[col]),
+                     tuple(np.nonzero(exceeded[:, col])[0].tolist()))
+        weights = f.space.weights
+        means = (weights[:, None] * whole).sum(axis=0)
+
+        def results():
+            return (random_riemann_sum(f, division).values.tobytes(),
+                    expectation_function(f).values_at(tags).tobytes(),
+                    stochastic._domination_violation(f, tags, dominator))
+
+        runs = []
+        for n in (1, 2):
+            workers(n)
+            runs += [results() for _ in range(3)]
+        assert runs == [(expected.tobytes(), means.tobytes(), violation)] * 6
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_non_finite_cells_on_two_workers_name_the_lowest_outcome(
+            self, monkeypatch, workers, n):
+        workers(n)
+        monkeypatch.setattr(random_functions, "_BLOCK_CELLS", 8)
+        division = midpoint_division(8)  # 4 outcomes: blocks of 1 column
+        tags = division.tags
+
+        def matrix(ts):
+            values = np.zeros((4, ts.size))
+            values[3, ts == tags[0]] = math.nan  # block 0
+            values[1, ts == tags[1]] = math.inf  # block 1, the other worker
+            values[0, ts == tags[6]] = -math.inf  # lowest outcome, block 6
+            values[0, ts == tags[7]] = math.nan
+            return values
+
+        f = PathwiseRandomFunction(space=DiscreteProbabilitySpace.uniform(4),
+                                   matrix_evaluate=matrix)
+        with pytest.raises(EvaluationError) as err:
+            random_riemann_sum(f, division)
+        assert (err.value.outcome, err.value.tag) == (0, float(tags[6]))
+
+    def test_an_evaluator_error_reaches_the_caller_unchanged(self, monkeypatch,
+                                                             workers):
+        monkeypatch.setattr(random_functions, "_BLOCK_CELLS", 8)
+        division = midpoint_division(8)  # 4 outcomes: blocks of 1 column
+        index = block_index(division.tags)
+
+        def matrix(ts):
+            if index(ts) >= 3:
+                raise ValueError(f"no value in block {index(ts)}")
+            return np.zeros((4, ts.size))
+
+        f = PathwiseRandomFunction(space=DiscreteProbabilitySpace.uniform(4),
+                                   matrix_evaluate=matrix)
+        dominator = RandomVariable(space=f.space, values=np.ones(4))
+        calls = (lambda: random_riemann_sum(f, division),
+                 lambda: expectation_function(f).values_at(division.tags),
+                 lambda: stochastic._domination_violation(f, division.tags,
+                                                          dominator))
+        raised = []
+        for n in (1, 2):
+            workers(n)
+            for call in calls:
+                with pytest.raises(ValueError) as err:
+                    call()
+                raised.append((type(err.value), str(err.value)))
+        assert raised == [(ValueError, "no value in block 3")] * 6
+
+    def test_out_of_memory_on_a_worker_exits_1(self, capsys, monkeypatch,
+                                               workers):
+        workers(2)
+        monkeypatch.setattr(random_functions, "_BLOCK_CELLS", 2)
+        threads = []
+        dense_sum = stochastic.random_riemann_sum
+
+        def exhausted(ts):
+            threads.append(threading.current_thread().name)
+            raise MemoryError("Unable to allocate 164. GiB for an array")
+
+        def on_the_pool(f, division):
+            return dense_sum(PathwiseRandomFunction(
+                space=f.space, matrix_evaluate=exhausted), division)
+
+        monkeypatch.setattr(stochastic, "random_riemann_sum", on_the_pool)
+        assert main(["integrate-prob", "--catalog", "linear-coeff"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("gaugeprob: error: out of memory: Unable to "
+                                "allocate 164. GiB for an array\n")
+        assert threads
+        assert all(name.startswith("gaugeprob-blocks") for name in threads)
+
+    def test_an_early_stop_leaves_no_block_running(self, monkeypatch, workers):
+        workers(2)
+        monkeypatch.setattr(random_functions, "_BLOCK_CELLS", 4)
+        ts = np.linspace(0.0, 1.0, 6)  # 2 outcomes: blocks of 1 column
+        index = block_index(ts)
+        second_started = threading.Event()
+        lock = threading.Lock()
+        started, running = [], [0]
+
+        def matrix(ts):
+            with lock:
+                started.append(index(ts))
+                running[0] += 1
+            try:
+                if index(ts) == 0:  # finish only once block 1 is running
+                    second_started.wait(timeout=10)
+                else:
+                    second_started.set()
+                    time.sleep(0.2)
+                return np.stack([np.full(ts.size, 3.0), np.zeros(ts.size)])
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        f = PathwiseRandomFunction(space=SPACE, matrix_evaluate=matrix)
+        violation = stochastic._domination_violation(f, ts, rv(1.0, 1.0))
+        assert violation == (0.0, (0,))
+        assert running == [0]
+        assert sorted(started) == [0, 1]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_at_most_workers_blocks_are_outstanding(self, monkeypatch,
+                                                    workers, n):
+        workers(n)
+        # Spare threads, so only the submission window bounds the overlap.
+        monkeypatch.setattr(random_functions, "_pool",
+                            ThreadPoolExecutor(n + 2))
+        monkeypatch.setattr(random_functions, "_BLOCK_CELLS", 4)
+        lock = threading.Lock()
+        running, peak = [0], [0]
+        evaluate = cosine_paths(2).matrix_evaluate
+
+        def matrix(ts):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            try:
+                time.sleep(0.005)
+                return evaluate(ts)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        f = PathwiseRandomFunction(space=SPACE, matrix_evaluate=matrix)
+        division = midpoint_division(40)  # 40 blocks of 1 column
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            random_riemann_sum(f, division)
+            expectation_function(f).values_at(division.tags)
+        finally:
+            sys.setswitchinterval(interval)
+        assert peak == [n]
+
+    def test_a_separable_view_runs_in_the_calling_thread(self, monkeypatch,
+                                                         workers):
+        workers(2)
+        monkeypatch.setattr(random_functions, "_BLOCK_CELLS", 8)
+        calls = []
+
+        def linear(ts):
+            calls.append((threading.current_thread(), ts.size))
+            return np.asarray(ts, dtype=float)
+
+        basis = ScalarIntegrand(name="recorded-linear", fn=linear)
+        f = SeparableRandomFunction(coefficients=(rv(1.0, 2.0),),
+                                    bases=(basis,))
+        ts = np.linspace(0.0, 1.0, 10)
+        assert stochastic._domination_violation(f, ts, rv(5.0, 5.0)) is None
+        here = threading.current_thread()
+        assert calls == [(here, 4), (here, 4), (here, 2)]  # 8 cells a block
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_makes_its_own_pool(self, monkeypatch, workers):
+        workers(2)
+        monkeypatch.setattr(random_functions, "_BLOCK_CELLS", 8)
+        f = cosine_paths(4)
+        division = midpoint_division(16)
+        expected = random_riemann_sum(f, division).values.tobytes()
+        assert random_functions._pool is not None
+        child = multiprocessing.get_context("fork").Process(
+            target=_exit_with_sum_check, args=(f, division, expected))
+        child.start()
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
 
 
 def test_each_settle_level_is_logged(caplog):
