@@ -135,6 +135,16 @@ def gate_commands(scenario_dir: Path) -> list[list[str]]:
         ["fubini", "--catalog", "linear-coeff", "--levels", "0"],
         ["fubini", "--catalog", "trig-coeff", "--levels", "3"],
     ]
+    # One CSV report per command: the rows that schemas lays out.
+    for command, ident in (("integrate", "monomial2"),
+                           ("integrate-prob", "linear-coeff"),
+                           ("riemann-prob", "linear-coeff"),
+                           ("uniqueness", "linear-coeff"),
+                           ("fubini", "linear-coeff"),
+                           ("derivative", "ftc-quadratic"),
+                           ("ftc", "ftc-quadratic"),
+                           ("convergence-table", "linear-coeff")):
+        commands.append([command, "--catalog", ident, "--format", "csv"])
     return commands
 
 
