@@ -79,20 +79,43 @@ def resolve_gauge_family(integrand, domain: Interval,
     return own if own is not None else uniform_gauge_family(domain)
 
 
-def level_pass(sum_over, family: GaugeFamily, domain: Interval,
-               start: int, stop: int):
-    """The one pass over levels ``start..stop``: (level, gauge, division,
-    sum_over(division)); logs one INFO record per level on ``gaugeprob``."""
-    for level in range(start, stop + 1):
+# Split ratio of the certificate's one draw beyond the constructed division:
+# a fresh partition, sharp for the same gauge, cut off-center.
+_FRESH_SPLIT = 0.45
+
+
+class LevelPass:
+    """The one pass over levels ``start..stop`` of the integrand's resolved
+    family.  ``advance()`` builds the next level's division once, takes
+    ``sum_over(division)`` and logs one INFO record on ``gaugeprob``;
+    ``level``, ``gauge``, ``division`` and ``sums`` stay current until the
+    next advance, and a consumer may swap ``sum_over`` between levels."""
+
+    def __init__(self, integrand, domain: Interval, family: GaugeFamily | None,
+                 start: int, stop: int, sum_over):
+        self.family = resolve_gauge_family(integrand, domain, family)
+        self.domain, self.stop, self.sum_over = domain, stop, sum_over
+        self.level, self.gauge = start - 1, None
+        self.division = self.sums = None
+
+    def advance(self) -> bool:
+        """Move to the next level; False, and nothing built, past ``stop``."""
+        if self.level >= self.stop:
+            return False
+        self.level += 1
         began = time.perf_counter()
-        gauge = family(level)
-        division = cousin_partition(gauge, domain)
+        self.gauge = self.family(self.level)
+        self.division = cousin_partition(self.gauge, self.domain)
         built = time.perf_counter()
-        sums = sum_over(division)
+        self.sums = self.sum_over(self.division)
         log.info("level %d: %d pieces, built in %.3f s, summed in %.3f s",
-                 level, division.pieces, built - began,
+                 self.level, self.division.pieces, built - began,
                  time.perf_counter() - built)
-        yield level, gauge, division, sums
+        return True
+
+    def fresh(self) -> TaggedDivision:
+        """A second division sharp for the current gauge, split off-center."""
+        return cousin_partition(self.gauge, self.domain, split=_FRESH_SPLIT)
 
 
 class Settle:
@@ -133,11 +156,10 @@ def kh_levels(phi, domain: Interval, gauge_family: GaugeFamily | None = None,
     """Yield (level, division, riemann sum) for successive gauge levels."""
     if max_levels < 0:
         raise ValueError(f"max_levels must be >= 0, got {max_levels}")
-    for level, _, division, value in level_pass(
-            lambda division: riemann_sum_scalar(phi, division),
-            resolve_gauge_family(phi, domain, gauge_family), domain, 0,
-            max_levels):
-        yield level, division, value
+    levels = LevelPass(phi, domain, gauge_family, 0, max_levels,
+                       lambda division: riemann_sum_scalar(phi, division))
+    while levels.advance():
+        yield levels.level, levels.division, levels.sums
 
 
 def kh_integrate(phi, domain: Interval, tol: float,

@@ -18,13 +18,12 @@ import logging
 import math
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import chain, islice
 
 import numpy as np
 
 from .errors import EvaluationError, NonConvergenceError, SpaceMismatchError
 from .gauges import GaugeFamily, Interval, uniform_gauge_family
-from .partitions import TaggedDivision, cousin_partition
+from .partitions import TaggedDivision
 from .probability import (
     RandomVariable,
     almost_surely_equal,
@@ -34,10 +33,9 @@ from .probability import (
 )
 from .quadrature import (
     DEFAULT_MAX_LEVELS,
+    LevelPass,
     Settle,
     kh_integrate,
-    level_pass,
-    resolve_gauge_family,
     riemann_sum_scalar,
 )
 from .random_functions import (
@@ -51,10 +49,6 @@ from .random_functions import (
 
 DEFAULT_EPS_GRID = (1e-2, 1e-3, 1e-4)
 DEFAULT_ETA = 1e-2
-
-# Split ratio of the certificate's one draw beyond the constructed division:
-# a fresh partition, sharp for the same gauge, cut off-center.
-_FRESH_SPLIT = 0.45
 
 # Certification may refine this many levels past the integration level while
 # hunting a gauge fine enough for a strict (eps, eta) pair, and never grows
@@ -208,33 +202,18 @@ def _check_parameters(max_levels: int | None = None, **positive: float) -> None:
         raise ValueError(f"max_levels must be >= 0, got {max_levels}")
 
 
-def _levels(f: RandomFunction, domain: Interval,
-            gauge_family: GaugeFamily | None, start: int, stop: int,
-            sums=None):
-    """The level pass, under f's resolved family, with f's outcome sums
-    (``sums``, random_riemann_sum when None)."""
-    sums = sums or random_riemann_sum
-    return level_pass(lambda division: sums(f, division),
-                      resolve_gauge_family(f, domain, gauge_family), domain,
-                      start, stop)
-
-
-def _settle(levels, tol: float):
-    """Settle the outcome sums of items (level, ..., sums) until every
-    outcome has settled or the items run out (the rest are failed).  Returns
-    (integral, failed, final level, the items resumed at the final one), so
-    the final division and sums are handed on, not rebuilt."""
-    levels = iter(levels)
+def _settle(levels: LevelPass, tol: float):
+    """Advance the pass until every outcome's sum has settled or the pass
+    ends (the rest are failed); returns (integral, failed).  The pass stays
+    at the final level, so its division and sums are handed on."""
     rule = Settle(tol)
-    for item in levels:
-        done = rule.feed(item[-1].values)
-        log.info("level %d: %d of %d outcomes settled", item[0],
+    while not rule.done and levels.advance():
+        rule.feed(levels.sums.values)
+        log.info("level %d: %d of %d outcomes settled", levels.level,
                  np.count_nonzero(rule.settled), rule.settled.size)
-        if done:
-            break
-    integral = RandomVariable(space=item[-1].space, values=rule.values)
+    integral = RandomVariable(space=levels.sums.space, values=rule.values)
     failed = tuple(int(i) for i in np.nonzero(~rule.settled)[0])
-    return integral, failed, item[0], chain((item,), levels)
+    return integral, failed
 
 
 def _pair_rows(eps: float | None, eta: float | None, tol: float):
@@ -256,41 +235,33 @@ def _pair_rows(eps: float | None, eta: float | None, tol: float):
     return rows
 
 
-def _certify(f: RandomFunction, integral: RandomVariable,
-             domain: Interval, levels, pairs, sums=None,
+def _certify(integral: RandomVariable, levels: LevelPass, pairs, sums,
              ) -> tuple[tuple[CertificateRow, ...], bool]:
     """Find, per (eps, eta) pair, a gauge level whose sharp divisions all
     stay within eps of the integral outside probability eta.
 
-    ``levels`` continues the level pass from the level where integration
-    stopped.  Tails are measured on two divisions per level: the
-    constructed one and a fresh division split off-center.  A pair that
-    keeps failing refines to finer levels (each pair is entitled to its own
-    gauge) until the level or piece budget runs out, at which point its row
-    reports the failing tail honestly.  ``sums(f, division)`` takes the
-    outcome sums (random_riemann_sum when None).
+    Starts at the pass's current level, where integration stopped.  Tails
+    are measured on two divisions per level: the constructed one, with the
+    pass's sums, and the pass's fresh division, with ``sums(division)``.  A
+    pair that keeps failing advances the pass (each pair is entitled to its
+    own gauge) until the level or piece budget runs out, at which point its
+    row reports the failing tail honestly.
     """
-    sums = sums or random_riemann_sum
     pending = list(pairs)
     rows: dict[tuple[float, float], CertificateRow] = {}
-    for _, gauge, base, base_sums in islice(levels, _VERIFY_EXTRA_LEVELS + 1):
-        fresh = cousin_partition(gauge, domain, split=_FRESH_SPLIT)
-        all_sums = (base_sums, sums(f, fresh))
-        still = []
+    last = levels.level + _VERIFY_EXTRA_LEVELS
+    while True:
+        all_sums = (levels.sums, sums(levels.fresh()))
         for (eps, eta) in pending:
-            tail = max(
-                deviation_probability(s, integral, eps) for s in all_sums
-            )
-            rows[(eps, eta)] = CertificateRow(
-                eps=eps, eta=eta, achieved_tail=tail, mesh_bound=base.mesh)
-            if tail >= eta:
-                still.append((eps, eta))
-        pending = still
-        if not pending or base.pieces > _VERIFY_PIECE_GUARD:
+            tail = max(deviation_probability(s, integral, eps)
+                       for s in all_sums)
+            rows[(eps, eta)] = CertificateRow(eps, eta, tail,
+                                              levels.division.mesh)
+        pending = [p for p in pending if rows[p].achieved_tail >= rows[p].eta]
+        if (not pending or levels.division.pieces > _VERIFY_PIECE_GUARD
+                or levels.level == last or not levels.advance()):
             break
-    ordered = tuple(rows[pair] for pair in pairs)
-    ok = all(row.achieved_tail < row.eta for row in ordered)
-    return ordered, ok
+    return tuple(rows[pair] for pair in pairs), not pending
 
 
 def integrate_separable(f: SeparableRandomFunction, domain: Interval,
@@ -318,10 +289,11 @@ def integrate_separable(f: SeparableRandomFunction, domain: Interval,
     integral = _combine(f, [r.value for r in scalar_results])
 
     level = max(r.refinement_levels for r in scalar_results)
-    rows, ok = _certify(f, integral, domain,
-                        _levels(f, domain, None, level, max_levels,
-                                _separable_sums),
-                        _pair_rows(None, None, tol), _separable_sums)
+    levels = LevelPass(f, domain, None, level, max_levels,
+                       lambda division: _separable_sums(f, division))
+    levels.advance()
+    rows, ok = _certify(integral, levels, _pair_rows(None, None, tol),
+                        levels.sum_over)
     return StochasticIntegralResult(
         integral=integral, certificate=rows, method="separable",
         verified=ok, levels_used=level,
@@ -347,10 +319,12 @@ def integrate_pathwise(f: RandomFunction, domain: Interval, eps: float,
     """
     _check_parameters(max_levels, eps=eps, eta=eta, tol=tol)
     domain = Interval.coerce(domain)
-    integral, failed, level, levels = _settle(
-        _levels(f, domain, gauge_family, 0, max_levels), tol)
-    rows, tails_ok = _certify(f, integral, domain, levels,
-                              _pair_rows(eps, eta, tol))
+    levels = LevelPass(f, domain, gauge_family, 0, max_levels,
+                       lambda division: random_riemann_sum(f, division))
+    integral, failed = _settle(levels, tol)
+    level = levels.level
+    rows, tails_ok = _certify(integral, levels, _pair_rows(eps, eta, tol),
+                              levels.sum_over)
     return StochasticIntegralResult(
         integral=integral, certificate=rows, method=method,
         verified=tails_ok and not failed, levels_used=level,
@@ -367,11 +341,18 @@ def convergence_tails(f: RandomFunction, domain: Interval, eps: float,
     divisions; no certificate is computed."""
     _check_parameters(max_levels, eps=eps, tol=tol)
     domain = Interval.coerce(domain)
-    per_level = [(level, division.mesh, sums) for level, _, division, sums
-                 in _levels(f, domain, gauge_family, 0, max_levels)]
-    integral = _settle(per_level, tol)[0]
+    per_level = []  # (mesh, sums) of levels 0, 1, ...
+
+    def sums(division):
+        per_level.append((division.mesh, random_riemann_sum(f, division)))
+        return per_level[-1][1]
+
+    levels = LevelPass(f, domain, gauge_family, 0, max_levels, sums)
+    integral = _settle(levels, tol)[0]
+    while levels.advance():
+        pass
     return tuple((level, mesh, deviation_probability(sums, integral, eps))
-                 for level, mesh, sums in per_level)
+                 for level, (mesh, sums) in enumerate(per_level))
 
 
 def integrate_riemann_in_probability(f: RandomFunction, domain: Interval,
@@ -530,21 +511,6 @@ def _domination_violation(f: RandomFunction, ts: np.ndarray,
         return next((v for v in violations if v is not None), None)
 
 
-def _fubini_rhs(f: RandomFunction, stream, dominator: RandomVariable,
-                domain: Interval, tol: float):
-    """(mean, verified, final tags' domination violation, their count, bound
-    margin max |S| - A (b - a)) of the pathwise integral settled on stream."""
-    integral, failed, _, levels = _settle(stream, tol)
-    final = _, _, division, sums = next(levels)
-    violation = _domination_violation(f, division.tags, dominator)
-    margins = np.abs(sums.values) - dominator.values * domain.width
-    margin = float(np.max(margins[f.space.weights > 0]))
-    _, tails_ok = _certify(f, integral, domain, chain((final,), levels),
-                           _pair_rows(1e-3, DEFAULT_ETA, tol))
-    return (expectation(integral), tails_ok and not failed, violation,
-            division.pieces, margin)
-
-
 def fubini_check(f: RandomFunction, domain: Interval,
                  dominator: RandomVariable, tol: float,
                  grid_points: int = 257,
@@ -580,29 +546,41 @@ def fubini_check(f: RandomFunction, domain: Interval,
 
     if violation is None:
         # One pass serves both sides: each division feeds the LHS the mean
-        # path's sum until it settles, the RHS the outcome sums it needs.
-        mean, mean_tags, rhs_open = Settle(tol), None, True
+        # path's sum until it settles, and the RHS the outcome sums until
+        # it is certified; then the pass sums the mean path only.
+        mean, mean_tags = Settle(tol), None
 
-        def sums_of(division):
+        def mean_sum(division):
             nonlocal mean_tags
             if not mean.done:
                 mean.feed(riemann_sum_scalar(mean_fn, division))
                 mean_tags = division.tags
-            return random_riemann_sum(f, division) if rhs_open else None
 
-        stream = level_pass(sums_of, resolve_gauge_family(f, domain), domain,
-                            0, max_levels)
-        rhs_side = _fubini_rhs(f, stream, dominator, domain, tol)
-        rhs_open = False
-        while not mean.done and next(stream, None) is not None:
+        def both_sums(division):
+            mean_sum(division)
+            return random_riemann_sum(f, division)
+
+        levels = LevelPass(f, domain, None, 0, max_levels, both_sums)
+        integral, failed = _settle(levels, tol)
+        # The RHS's final division: its tags, and the bound's margin.
+        rhs_tags = levels.division.tags
+        rhs_violation = _domination_violation(f, rhs_tags, dominator)
+        margins = np.abs(levels.sums.values) - dominator.values * domain.width
+        margin = float(np.max(margins[f.space.weights > 0]))
+        _, tails_ok = _certify(
+            integral, levels, _pair_rows(1e-3, DEFAULT_ETA, tol),
+            lambda division: random_riemann_sum(f, division))
+        rhs_side = expectation(integral), tails_ok and not failed
+        levels.sum_over = mean_sum
+        while not mean.done and levels.advance():
             pass
         lhs, lhs_converged = float(mean.values[0]), mean.done
         violation = _domination_violation(f, mean_tags, dominator)
         checked_points += mean_tags.size
 
     if violation is None:
-        rhs, rhs_verified, violation, rhs_points, margin = rhs_side
-        checked_points += rhs_points
+        (rhs, rhs_verified), violation = rhs_side, rhs_violation
+        checked_points += rhs_tags.size
         if violation is None:
             bound_margin, bound_ok = margin, bool(margin <= 0.0)
 

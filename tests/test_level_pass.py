@@ -35,8 +35,8 @@ UNIT = Interval(0.0, 1.0)
 
 @pytest.fixture
 def built(monkeypatch):
-    """Record (pieces, points bytes, tags bytes) of every division that the
-    level pass (in quadrature) or the stochastic layer builds."""
+    """Record (pieces, points bytes, tags bytes) of every division built:
+    the level pass in quadrature builds them all."""
     record = []
 
     def recording(fn):
@@ -47,9 +47,8 @@ def built(monkeypatch):
             return division
         return wrapper
 
-    for module in (quadrature, stochastic):
-        monkeypatch.setattr(module, "cousin_partition",
-                            recording(module.cousin_partition))
+    monkeypatch.setattr(quadrature, "cousin_partition",
+                        recording(quadrature.cousin_partition))
     return record
 
 
@@ -96,6 +95,63 @@ def test_fubini_sides_share_divisions_when_the_mean_settles_late(built):
     assert len(set(built)) == len(built)
 
 
+def drain_function():
+    """0.2575 (sin 3t + cos 2t) + 0.7192 t^3 and |t - 1/4| on two equally
+    weighted outcomes, each dominated by 3."""
+    space = DiscreteProbabilitySpace.uniform(("w1", "w2"))
+
+    def paths(ts):
+        trig_mix = np.sin(3.0 * ts) + np.cos(2.0 * ts)
+        smooth = 0.2575 * trig_mix + 0.7192 * ts ** 3
+        return np.stack([smooth, np.abs(ts - 0.25)])
+
+    return PathwiseRandomFunction(space=space, matrix_evaluate=paths), \
+        RandomVariable(space=space, values=(3.0, 3.0))
+
+
+def test_fubini_drain_sums_only_the_mean(built, monkeypatch):
+    """The RHS settles at level 2 and certifies at level 4; the LHS still
+    needs levels 5 and 6, which get the mean path's sum and no outcome
+    sums."""
+    summed = []
+
+    def recording(f, division):
+        summed.append(division.pieces)
+        return random_riemann_sum(f, division)
+
+    monkeypatch.setattr(stochastic, "random_riemann_sum", recording)
+    f, dominator = drain_function()
+    report = fubini_check(f, UNIT, dominator, 1e-6)
+    assert summed == [2, 4, 8, 5, 16, 12, 32, 21]
+    assert [pieces for pieces, _, _ in built] == [2, 4, 8, 5, 16, 12, 32, 21,
+                                                  64, 128]
+    assert len(set(built)) == len(built)
+    assert report.grid_points == 393  # 257 + the LHS's 128 + the RHS's 8
+    assert (report.lhs_converged, report.rhs_verified, report.passed) == (
+        True, True, False)
+
+
+def test_certificate_stops_at_max_levels(built):
+    """The certificate continues the pass past the settle level, but never
+    past max_levels."""
+    entry = catalog.random_entry("linear-coeff")
+    family = uniform_gauge_family(entry.domain)
+    capped = integrate_pathwise(entry.function, entry.domain, 1e-3, 1e-2,
+                                1e-6, gauge_family=family, max_levels=1)
+    assert capped.levels_used == 1
+    assert len(built) == 3  # levels 0 and 1, and one fresh division
+    assert [(row.achieved_tail, row.mesh_bound)
+            for row in capped.certificate] == [(1.0, 0.25)] * len(
+                capped.certificate)
+    assert not capped.verified
+    built.clear()
+    res = integrate_pathwise(entry.function, entry.domain, 1e-3, 1e-2, 1e-6,
+                             gauge_family=family, max_levels=2)
+    assert len(built) == 5
+    assert res.verified
+    assert {row.mesh_bound for row in res.certificate} == {0.125}
+
+
 def test_each_certificate_level_sums_one_fresh_division(monkeypatch):
     """Each certificate level builds and sums exactly one division split at
     _FRESH_SPLIT, besides the constructed one of the level pass."""
@@ -106,12 +162,12 @@ def test_each_certificate_level_sums_one_fresh_division(monkeypatch):
         return random_riemann_sum(f, division)
 
     def counting_partition(gauge, domain, **kwargs):
-        if kwargs.get("split") == stochastic._FRESH_SPLIT:
+        if kwargs.get("split") == quadrature._FRESH_SPLIT:
             calls["fresh"] += 1
         return cousin_partition(gauge, domain, **kwargs)
 
     monkeypatch.setattr(stochastic, "random_riemann_sum", counting_sums)
-    monkeypatch.setattr(stochastic, "cousin_partition", counting_partition)
+    monkeypatch.setattr(quadrature, "cousin_partition", counting_partition)
     entry = catalog.random_entry("linear-coeff")
     res = integrate_pathwise(entry.function, entry.domain, 1e-3, 1e-2, 1e-6,
                              gauge_family=uniform_gauge_family(entry.domain))
