@@ -153,7 +153,7 @@ def _domain(scenario: dict, default) -> Interval:
 
 
 def _positive(name: str, value) -> float:
-    value = _float(name, value)
+    value = _finite(name, value)
     if not value > 0:
         raise ScenarioError(f"{name}: must be positive, got {value}")
     return value
@@ -161,7 +161,7 @@ def _positive(name: str, value) -> float:
 
 def _number(config: RunConfig, scenario: dict, key: str, default=None):
     """The flag, else the scenario's value, else ``_DEFAULTS[default or
-    key]``; ``levels`` is an integer, the others must be positive."""
+    key]``; ``levels`` is an integer, the others finite and positive."""
     value, name = getattr(config, key), f"--{key}"
     if value is None:
         value, name = (scenario.get(key, _DEFAULTS[default or key]),

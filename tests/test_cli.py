@@ -401,6 +401,23 @@ class TestScenarioFiles:
         assert err == f"gaugeprob: error: {detail}\n"
         assert [str(w.message) for w in caught] == []
 
+    @pytest.mark.parametrize("key", ["eps", "eta", "tol"])
+    @pytest.mark.parametrize("source", ["flag", "scenario"])
+    def test_infinite_tolerance_names_its_field(self, capsys, tmp_path, key,
+                                                source):
+        # 1e400 is a valid JSON number that parses to inf.
+        if source == "flag":
+            argv = ["--catalog", "linear-coeff", f"--{key}", "inf"]
+        else:
+            path = tmp_path / "scenario.json"
+            path.write_text(f'{{"catalog": "linear-coeff", "{key}": 1e400}}',
+                            encoding="utf-8")
+            argv = ["--scenario", str(path)]
+        name = f"--{key}" if source == "flag" else f"scenario.{key}"
+        code, out, err = run_cli(capsys, "integrate-prob", *argv)
+        assert (code, out) == (1, "")
+        assert err == f"gaugeprob: error: {name}: must be finite, got inf\n"
+
     @pytest.mark.parametrize("scenario, t0, radius", [
         ({"t0": 1e20}, "1e+20", "0.001"),
         ({"t0": 0.5, "grid_radius": 1e-20}, "0.5", "1e-20"),
