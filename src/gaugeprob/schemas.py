@@ -56,6 +56,19 @@ CSV_COLUMNS = {
                           "eps", "eta"),
 }
 
+# The result list that each command's CSV rows come from; None means one row,
+# the result itself.
+_CSV_ROWS = {
+    "integrate": None,
+    "integrate-prob": "certificate",
+    "riemann-prob": "certificate",
+    "uniqueness": "deviation_rows",
+    "fubini": None,
+    "derivative": "rows",
+    "ftc": "deviation_rows",
+    "convergence-table": "rows",
+}
+
 
 def fmt_value(value) -> str:
     """CSV cell format: floats at 17 significant digits, rest as str."""
@@ -120,24 +133,9 @@ def report_to_json(report: dict) -> str:
 
 
 def _csv_rows(command: str, result: dict):
-    if command == "integrate":
-        yield [result[c] for c in CSV_COLUMNS["integrate"]]
-    elif command in ("integrate-prob", "riemann-prob"):
-        for row in result["certificate"]:
-            yield [row[c] for c in CSV_COLUMNS[command]]
-    elif command in ("uniqueness", "ftc"):
-        for row in result["deviation_rows"]:
-            yield [row[c] for c in CSV_COLUMNS[command]]
-    elif command == "fubini":
-        yield [result[c] for c in CSV_COLUMNS["fubini"]]
-    elif command == "derivative":
-        for row in result["rows"]:
-            yield [row[c] for c in CSV_COLUMNS["derivative"]]
-    elif command == "convergence-table":
-        for row in result["rows"]:
-            yield [row[c] for c in CSV_COLUMNS["convergence-table"]]
-    else:  # pragma: no cover - guarded by COMMANDS
-        raise ScenarioError(f"no CSV layout for command {command!r}")
+    source = _CSV_ROWS[command]
+    rows = [result] if source is None else result[source]
+    return [[row[c] for c in CSV_COLUMNS[command]] for row in rows]
 
 
 def report_to_csv(report: dict) -> str:

@@ -43,6 +43,9 @@ _SAMPLE_RESULTS = {
             "integral_values": [1.0], "increment_values": [1.0]},
     "convergence-table": {"rows": [{"level": 0, "mesh_bound": 0.5,
                                     "value": 0.3125, "worst_tail": None,
+                                    "eps": 1e-3, "eta": 1e-2},
+                                   {"level": 1, "mesh_bound": 0.25,
+                                    "value": 0.328125, "worst_tail": None,
                                     "eps": 1e-3, "eta": 1e-2}]},
 }
 _SAMPLE_RESULTS["riemann-prob"] = dict(_SAMPLE_RESULTS["integrate-prob"],
@@ -55,15 +58,31 @@ def _sample_report(command):
                         status="pass", generated_at="2026-01-01T00:00:00+00:00")
 
 
+# The sample rows that each command's CSV holds, in order.
+_CSV_SOURCE_ROWS = {
+    "integrate": lambda result: [result],
+    "integrate-prob": lambda result: result["certificate"],
+    "riemann-prob": lambda result: result["certificate"],
+    "uniqueness": lambda result: result["deviation_rows"],
+    "fubini": lambda result: [result],
+    "derivative": lambda result: result["rows"],
+    "ftc": lambda result: result["deviation_rows"],
+    "convergence-table": lambda result: result["rows"],
+}
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_every_command_has_csv_layout_and_validates(command):
     report = _sample_report(command)
     validate_report(report)
     csv_text = report_to_csv(report)
     header, *rows = csv_text.strip().splitlines()
-    assert header == ",".join(CSV_COLUMNS[command])
-    assert rows, command
-    assert all(len(r.split(",")) == len(CSV_COLUMNS[command]) for r in rows)
+    columns = CSV_COLUMNS[command]
+    assert header == ",".join(columns)
+    expected = _CSV_SOURCE_ROWS[command](_SAMPLE_RESULTS[command])
+    assert rows and len(rows) == len(expected), command
+    for row, source in zip(rows, expected):
+        assert row.split(",") == [fmt_value(source[c]) for c in columns]
 
 
 def test_fmt_value_round_trips_17_digits():
