@@ -253,10 +253,12 @@ def _certify(integral: RandomVariable, levels: LevelPass, pairs, sums,
     while True:
         all_sums = (levels.sums, sums(levels.fresh()))
         for (eps, eta) in pending:
-            tail = max(deviation_probability(s, integral, eps)
-                       for s in all_sums)
-            rows[(eps, eta)] = CertificateRow(eps, eta, tail,
-                                              levels.division.mesh)
+            tail = max(
+                deviation_probability(s, integral, eps) for s in all_sums
+            )
+            rows[(eps, eta)] = CertificateRow(
+                eps=eps, eta=eta, achieved_tail=tail,
+                mesh_bound=levels.division.mesh)
         pending = [p for p in pending if rows[p].achieved_tail >= rows[p].eta]
         if (not pending or levels.division.pieces > _VERIFY_PIECE_GUARD
                 or levels.level == last or not levels.advance()):
@@ -343,11 +345,11 @@ def convergence_tails(f: RandomFunction, domain: Interval, eps: float,
     domain = Interval.coerce(domain)
     per_level = []  # (mesh, sums) of levels 0, 1, ...
 
-    def sums(division):
+    def recorded_sums(division):
         per_level.append((division.mesh, random_riemann_sum(f, division)))
         return per_level[-1][1]
 
-    levels = LevelPass(f, domain, gauge_family, 0, max_levels, sums)
+    levels = LevelPass(f, domain, gauge_family, 0, max_levels, recorded_sums)
     integral = _settle(levels, tol)[0]
     while levels.advance():
         pass
@@ -546,8 +548,7 @@ def fubini_check(f: RandomFunction, domain: Interval,
 
     if violation is None:
         # One pass serves both sides: each division feeds the LHS the mean
-        # path's sum until it settles, and the RHS the outcome sums until
-        # it is certified; then the pass sums the mean path only.
+        # path's sum until it settles, the RHS the outcome sums it needs.
         mean, mean_tags = Settle(tol), None
 
         def mean_sum(division):
@@ -562,7 +563,6 @@ def fubini_check(f: RandomFunction, domain: Interval,
 
         levels = LevelPass(f, domain, None, 0, max_levels, both_sums)
         integral, failed = _settle(levels, tol)
-        # The RHS's final division: its tags, and the bound's margin.
         rhs_tags = levels.division.tags
         rhs_violation = _domination_violation(f, rhs_tags, dominator)
         margins = np.abs(levels.sums.values) - dominator.values * domain.width
