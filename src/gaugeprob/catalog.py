@@ -127,7 +127,7 @@ def osc_singular_family(c0: float = 1e-3, name: str = "osc-singular") -> GaugeFa
 
         return Gauge(width=width)
 
-    return GaugeFamily(name=name, at_level=at_level)
+    return GaugeFamily(name=name, at_level=at_level, nested=True)
 
 
 def indicator_pinch_family(pinch: float = 1e-11, base: float = 0.25,
@@ -152,7 +152,7 @@ def indicator_pinch_family(pinch: float = 1e-11, base: float = 0.25,
 
         return Gauge(width=width)
 
-    return GaugeFamily(name=name, at_level=at_level)
+    return GaugeFamily(name=name, at_level=at_level, nested=True)
 
 
 _GAUGE_BUILDERS = {

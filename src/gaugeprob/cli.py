@@ -275,7 +275,8 @@ def _resolve_gauge(scenario: dict, integrand, domain: Interval) -> GaugeFamily:
         def at_level(level: int):
             return constant_gauge(width * 2.0 ** -level)
 
-        return GaugeFamily(name=f"constant({width})", at_level=at_level)
+        return GaugeFamily(name=f"constant({width})", at_level=at_level,
+                           nested=True)
     raise ScenarioError("scenario.gauge: expected a family id or {'constant': w}")
 
 

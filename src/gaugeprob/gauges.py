@@ -129,10 +129,18 @@ class GaugeFamily:
 
     Families drive iterative integration: widths must shrink to zero
     pointwise as the level grows.
+
+    ``nested`` declares that gamma_{m+1}(t) is a subset of gamma_m(t) for
+    every t and every level m; then each level's division is refined from
+    the previous level's instead of built from the domain (see
+    ``cousin_partition``'s ``parent``).  Declare it only when it holds for
+    every t in floating point: each half width at level m + 1 at most the
+    one at level m.  An undeclared family is rebuilt at every level.
     """
 
     name: str
     at_level: Callable[[int], Gauge]
+    nested: bool = False
 
     def __call__(self, level: int) -> Gauge:
         return self.at_level(level)
@@ -156,11 +164,12 @@ def scaled_uniform_family(domain: Interval, factor: float, name: str) -> GaugeFa
         # of its left endpoint, and endpoint tags stall the sums.
         return constant_gauge(span * 2.0 ** -level * (1.0 - 2.0 ** -40))
 
-    return GaugeFamily(name=name, at_level=at_level)
+    return GaugeFamily(name=name, at_level=at_level, nested=True)
 
 
 def intersect_families(families, name: str | None = None) -> GaugeFamily:
-    """Levelwise intersection of several gauge families."""
+    """Levelwise intersection of several gauge families, nested when every
+    member is."""
     families = tuple(families)
     if not families:
         raise ValueError("need at least one family to intersect")
@@ -174,4 +183,5 @@ def intersect_families(families, name: str | None = None) -> GaugeFamily:
             gauge = gauge_intersection(gauge, fam(level))
         return gauge
 
-    return GaugeFamily(name=label, at_level=at_level)
+    return GaugeFamily(name=label, at_level=at_level,
+                       nested=all(f.nested for f in families))

@@ -22,8 +22,9 @@ _BLOCK = 1 << 19
 
 DEFAULT_MAX_DEPTH = 60
 
-# Hard ceiling on division size: a gauge demanding more pieces than this is
-# beyond what the process can hold, so fail cleanly instead of thrashing.
+# Hard ceiling on the bisection nodes behind one division (2n - 1 for n
+# pieces): a gauge demanding more than this is beyond what the process can
+# hold, so fail cleanly instead of thrashing.
 DEFAULT_MAX_PIECES = 20_000_000
 
 log = logging.getLogger("gaugeprob")
@@ -31,10 +32,16 @@ log = logging.getLogger("gaugeprob")
 
 @dataclass(frozen=True, eq=False)
 class TaggedDivision:
-    """Immutable division: ``points`` (n+1 floats) and ``tags`` (n floats)."""
+    """Immutable division: ``points`` (n+1 floats) and ``tags`` (n floats).
+
+    ``depths`` (n unsigned integers, uint8 by default) holds each piece's
+    bisection depth when :func:`cousin_partition` built the division, and
+    is None on a division built by hand.
+    """
 
     points: np.ndarray
     tags: np.ndarray
+    depths: np.ndarray | None = None
 
     def __post_init__(self):
         points = np.ascontiguousarray(self.points, dtype=float)
@@ -51,6 +58,12 @@ class TaggedDivision:
         tags.setflags(write=False)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "tags", tags)
+        if self.depths is not None:
+            depths = np.ascontiguousarray(self.depths)
+            if depths.shape != tags.shape:
+                raise ValueError("need exactly one depth per piece")
+            depths.setflags(write=False)
+            object.__setattr__(self, "depths", depths)
 
     @property
     def pieces(self) -> int:
@@ -130,10 +143,32 @@ def _halves(u, v, ru, rv, rank, depth: int, split: float):
     return hu, hv, hru, hrv, hrank, depth + 1, True
 
 
+def _seeds(gauge: Gauge, points, depths, rank_type):
+    """The leaves of a bisection tree, given by their ``points`` and
+    ``depths``, as worklist batches of at most ``_BLOCK`` leaves, with the
+    number of gauge points each batch evaluated.  A batch holds one block
+    per depth; a leaf's rank is its index in its block, below 2^depth since
+    no depth holds more nodes."""
+    for start in range(0, depths.size, _BLOCK):
+        chunk = points[start:start + _BLOCK + 1]
+        left_reach, right_reach = _end_reaches(chunk, *_gamma(gauge, chunk))
+        chunk_depths = depths[start:start + _BLOCK]
+        order = np.argsort(chunk_depths, kind="stable")
+        cuts = np.flatnonzero(np.diff(chunk_depths.take(order))) + 1
+        batch = []
+        for group in np.split(order, cuts):
+            batch.append((chunk.take(group), chunk.take(group + 1),
+                          right_reach.take(group), left_reach.take(group + 1),
+                          np.arange(group.size, dtype=rank_type),
+                          int(chunk_depths[group[0]]), False))
+        yield batch, chunk.size
+
+
 def cousin_partition(gauge: Gauge, domain: Interval,
                      max_depth: int = DEFAULT_MAX_DEPTH,
                      split: float = 0.5,
-                     max_pieces: int = DEFAULT_MAX_PIECES) -> TaggedDivision:
+                     max_pieces: int = DEFAULT_MAX_PIECES,
+                     parent: TaggedDivision | None = None) -> TaggedDivision:
     """Build a sharp tagged division for ``gauge`` by recursive bisection.
 
     Each subinterval [u, v] is accepted as soon as one of the candidate tags
@@ -142,11 +177,25 @@ def cousin_partition(gauge: Gauge, domain: Interval,
     u + split * (v - u) and both parts are retried.  Compactness guarantees
     termination for any genuine gauge; the depth cap converts a pathological
     evaluator (widths collapsing to zero at a point of the domain) into a
-    clean error.
+    clean error.  ``max_pieces`` caps the bisection nodes visited, accepted
+    or split; a division of n pieces has 2n - 1 of them.
 
     ``split`` must lie in (0, 1); values other than 0.5 draw a different
     sharp division for the same gauge, which is how verification samples
     the space of sharp divisions deterministically.
+
+    The division records each piece's bisection depth in ``depths``.  A
+    ``parent``, built by this kernel on the same domain with the same
+    ``split``, for a gauge whose every gamma(t) contains this gauge's,
+    turns the build into a refinement: a piece the parent split is split
+    here too, so the bisection tree grows from the parent's leaves instead
+    of from the domain, and the division is the one a rebuild gives.  Its
+    ``pieces - 1`` inner nodes are charged to ``max_pieces`` first, so the
+    ceiling counts the rebuild's nodes.  If a refinement raises, the
+    division is built again from the domain, so an error is the rebuild's,
+    named ``t`` included.  A refinement evaluates the gauge only at and
+    below the parent's leaves, so a width that is invalid only at points
+    above them goes unseen.
 
     The recursion is evaluated as a vectorized worklist of blocks of at most
     ``_BLOCK`` subintervals at one depth: acceptance of one subinterval never
@@ -155,8 +204,11 @@ def cousin_partition(gauge: Gauge, domain: Interval,
     once per point: at both domain endpoints, at every subinterval's
     midpoint and at every cut point, whose gauge interval both halves then
     share.  That reuse relies on the gauge being pure (see ``Gauge``); it
-    comes to 3 evaluations per piece.  A block keeps its subintervals in
-    ascending order, so the division is a merge of sorted runs.
+    comes to 3 evaluations per piece.  A refinement evaluates the parent's
+    points instead of the domain endpoints, one chunk of ``_BLOCK`` leaves
+    at a time (the point two chunks share in both), and drains the worklist
+    after each chunk.  A block keeps its subintervals in ascending order, so the
+    division is a merge of sorted runs.
 
     Blocks are cut and taken in the order of a worklist that stores each
     block's left halves before its right halves; each subinterval carries
@@ -170,9 +222,24 @@ def cousin_partition(gauge: Gauge, domain: Interval,
     domain = Interval.coerce(domain)
     if not 0.0 < split < 1.0:
         raise ValueError(f"split must be in (0, 1), got {split}")
-    ends = np.array([domain.lower, domain.upper])
-    left_reach, right_reach = _end_reaches(ends, *_gamma(gauge, ends))
-    evaluated = ends.size
+    if parent is not None:
+        if parent.depths is None:
+            raise ValueError("a parent division must come from cousin_partition")
+        if parent.domain != domain:
+            raise ValueError(f"parent divides {parent.domain}, not {domain}")
+        try:
+            return _bisect(gauge, domain, max_depth, split, max_pieces, parent)
+        except Exception:
+            # Any error, the width function's own included: the refinement
+            # visited a subset of the rebuild's nodes and points, and the
+            # ceiling counts as many nodes, so the rebuild below raises too,
+            # and raises what it always has.
+            pass
+    return _bisect(gauge, domain, max_depth, split, max_pieces, None)
+
+
+def _bisect(gauge: Gauge, domain: Interval, max_depth: int, split: float,
+            max_pieces: int, parent: TaggedDivision | None) -> TaggedDivision:
     # A worklist entry is (u, v, ru, rv, rank, depth, cuts_pending).  A
     # piece [u, v] fits gamma(u) iff v < ru, and gamma(v) iff rv < u.  The
     # rank orders one block's entries as the left-halves-first worklist
@@ -181,62 +248,73 @@ def cousin_partition(gauge: Gauge, domain: Interval,
     # [u, c], [c, v] whose shared cut c has not been evaluated yet: its
     # reaches fill ru[1::2] and rv[0::2] when the block is taken.
     rank_type = np.uint64 if max_depth < 64 else object
-    stack = [(ends[:1], ends[1:], right_reach[:1], left_reach[1:],
-              np.zeros(1, dtype=rank_type), 0, False)]
+    if parent is None:  # one leaf: the domain at depth 0
+        points = np.array([domain.lower, domain.upper])
+        depths = np.zeros(1, dtype=np.uint8)
+    else:
+        points, depths = parent.points, parent.depths
+    total = depths.size - 1  # the tree's inner nodes so far
+    depth_type = np.min_scalar_type(max(max_depth, 0))
     acc_left: list[np.ndarray] = []
     acc_tag: list[np.ndarray] = []
-    total = deepest = 0
+    acc_depth: list[np.ndarray] = []
+    evaluated = deepest = 0
 
-    while stack:
-        u, v, ru, rv, rank, depth, pending = stack.pop()
-        if depth > max_depth:
-            t_stuck = float(u[np.argmin(rank)])
-            raise PartitionDepthError(
-                f"no sharp piece after {max_depth} bisections near t={t_stuck!r}; "
-                "gauge evaluator looks pathological"
-            )
-        if u.size > _BLOCK:
-            # Only the halves of a full block grow this large, so there are
-            # two chunks.  By rank the first _BLOCK are every left half and
-            # the lowest-ranked right halves.
-            cut = v[0::2]
-            rv[0::2], ru[1::2] = _end_reaches(cut, *_gamma(gauge, cut))
-            evaluated += cut.size
-            k = _BLOCK - cut.size
-            first = rank < np.partition(rank[1::2], k)[k]
-            for pick in (first, ~first):
-                stack.append((*_take(np.flatnonzero(pick), u, v, ru, rv, rank),
-                              depth, False))
-            continue
-        deepest = max(deepest, depth)
-        mid = 0.5 * (u + v)
-        if pending:
-            cut = v[0::2]
-            lo, hi = _gamma(gauge, np.concatenate([cut, mid]))
-            rv[0::2], ru[1::2] = _end_reaches(cut, lo[:cut.size], hi[:cut.size])
-            lo, hi = lo[cut.size:], hi[cut.size:]
-            evaluated += cut.size
-        else:
-            lo, hi = _gamma(gauge, mid)
-        evaluated += mid.size
-        ok_u = v < ru
-        ok_mid = (lo < u) & (v < hi)
-        accepted = ok_u | ok_mid | (rv < u)
-        keep = np.flatnonzero(accepted)
-        if keep.size:
-            tag = np.where(ok_mid, mid, v)
-            np.copyto(tag, u, where=ok_u)
-            acc_left.append(u.take(keep))
-            acc_tag.append(tag.take(keep))
-        total += int(u.size)
-        if total > max_pieces:
-            raise PartitionDepthError(
-                f"gauge demands more than {max_pieces} pieces; "
-                "refine less aggressively or supply a coarser gauge family"
-            )
-        again = np.flatnonzero(~accepted)
-        if again.size:
-            stack.append(_halves(*_take(again, u, v, ru, rv, rank), depth, split))
+    for stack, seeded in _seeds(gauge, points, depths, rank_type):
+        evaluated += seeded
+        while stack:
+            u, v, ru, rv, rank, depth, pending = stack.pop()
+            if depth > max_depth:
+                t_stuck = float(u[np.argmin(rank)])
+                raise PartitionDepthError(
+                    f"no sharp piece after {max_depth} bisections near t={t_stuck!r}; "
+                    "gauge evaluator looks pathological"
+                )
+            if u.size > _BLOCK:
+                # Only the halves of a full block grow this large, so there
+                # are two chunks.  By rank the first _BLOCK are every left
+                # half and the lowest-ranked right halves.
+                cut = v[0::2]
+                rv[0::2], ru[1::2] = _end_reaches(cut, *_gamma(gauge, cut))
+                evaluated += cut.size
+                k = _BLOCK - cut.size
+                first = rank < np.partition(rank[1::2], k)[k]
+                for pick in (first, ~first):
+                    stack.append((*_take(np.flatnonzero(pick), u, v, ru, rv,
+                                         rank), depth, False))
+                continue
+            deepest = max(deepest, depth)
+            mid = 0.5 * (u + v)
+            if pending:
+                cut = v[0::2]
+                lo, hi = _gamma(gauge, np.concatenate([cut, mid]))
+                rv[0::2], ru[1::2] = _end_reaches(cut, lo[:cut.size],
+                                                  hi[:cut.size])
+                lo, hi = lo[cut.size:], hi[cut.size:]
+                evaluated += cut.size
+            else:
+                lo, hi = _gamma(gauge, mid)
+            evaluated += mid.size
+            ok_u = v < ru
+            ok_mid = (lo < u) & (v < hi)
+            accepted = ok_u | ok_mid | (rv < u)
+            keep = np.flatnonzero(accepted)
+            if keep.size:
+                tag = np.where(ok_mid, mid, v)
+                np.copyto(tag, u, where=ok_u)
+                acc_left.append(u.take(keep))
+                acc_tag.append(tag.take(keep))
+                acc_depth.append(np.full(keep.size, depth, dtype=depth_type))
+            total += int(u.size)
+            if total > max_pieces:
+                raise PartitionDepthError(
+                    f"gauge demands more than {max_pieces} pieces; "
+                    "refine less aggressively or supply a coarser gauge family"
+                )
+            again = np.flatnonzero(~accepted)
+            if again.size:
+                stack.append(_halves(*_take(again, u, v, ru, rv, rank), depth,
+                                     split))
 
     # The accepted pieces tile the domain, so the last one ends at its upper
     # end; the lefts are distinct wherever the division is valid.
@@ -245,5 +323,5 @@ def cousin_partition(gauge: Gauge, domain: Interval,
     tags = np.concatenate(acc_tag)[order]
     log.debug("division: %d pieces, deepest bisection %d, %d gauge points",
               tags.size, deepest, evaluated)
-    return TaggedDivision(points=np.append(lefts[order], ends[1]), tags=tags)
-
+    return TaggedDivision(points=np.append(lefts[order], domain.upper),
+                          tags=tags, depths=np.concatenate(acc_depth)[order])

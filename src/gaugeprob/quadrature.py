@@ -105,7 +105,9 @@ class LevelPass:
         self.level += 1
         began = time.perf_counter()
         self.gauge = self.family(self.level)
-        self.division = cousin_partition(self.gauge, self.domain)
+        parent = self.division if self.family.nested else None
+        self.division = cousin_partition(self.gauge, self.domain,
+                                         parent=parent)
         built = time.perf_counter()
         self.sums = self.sum_over(self.division)
         log.info("level %d: %d pieces, built in %.3f s, summed in %.3f s",

@@ -39,6 +39,7 @@ from .quadrature import (
     riemann_sum_scalar,
 )
 from .random_functions import (
+    _BLOCK_CELLS,
     RandomFunction,
     SeparableRandomFunction,
     as_pathwise,
@@ -109,16 +110,27 @@ def _combine(f: SeparableRandomFunction, scalars) -> RandomVariable:
 def _rank_k_sums(f: SeparableRandomFunction,
                  division: TaggedDivision) -> np.ndarray | None:
     """C @ s, where s holds the K sums riemann_sum_scalar(phi_k, division);
-    None when a value is not finite or a cell could overflow."""
-    widths = division.widths
-    basis_values = np.stack([b.values_at(division.tags) for b in f.bases])
+    None when a value is not finite or a cell could overflow.
+
+    The bases are evaluated in column blocks of at most _BLOCK_CELLS cells
+    into one K x n array, so a basis's temporaries never span the whole
+    division; the rows are then summed in one np.sum, so the sums do not
+    depend on the block size."""
+    tags, widths = division.tags, division.widths
+    basis_values = np.empty((len(f.bases), tags.size))
+    step = max(1, _BLOCK_CELLS // len(f.bases))
+    for start in range(0, tags.size, step):
+        block = tags[start:start + step]
+        for row, basis in zip(basis_values, f.bases):
+            row[start:start + step] = basis.values_at(block)
     coefficients = f.coefficient_matrix()
     with np.errstate(over="ignore", invalid="ignore"):
         reach = (np.abs(coefficients).max(axis=0)
                  @ np.abs(basis_values).max(axis=1)) * widths.sum()
     if not reach < _SAFE_REACH:  # also False for NaN
         return None
-    return coefficients @ np.sum(basis_values * widths, axis=1)
+    basis_values *= widths
+    return coefficients @ np.sum(basis_values, axis=1)
 
 
 def random_riemann_sum(f: RandomFunction, division: TaggedDivision) -> RandomVariable:

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from gaugeprob import (Interval, ScenarioError, as_pathwise, cousin_partition,
-                       is_sharp)
+from gaugeprob import (GaugeFamily, Interval, ScenarioError, as_pathwise,
+                       cousin_partition, intersect_families, is_sharp)
 from gaugeprob import catalog
+from gaugeprob.cli import _resolve_gauge
 from gaugeprob.random_functions import values_matrix
 
 UNIT = Interval(0.0, 1.0)
@@ -100,6 +101,46 @@ def test_singular_family_levels_shrink():
     d = cousin_partition(family(0), UNIT)
     assert is_sharp(d, family(0))
     assert d.points[1] == 2.0 ** -10  # the tag-0 piece
+
+
+def _declared_nested_families():
+    """Every family that declares itself nested: the catalog's, the CLI's
+    constant family, and intersections of them."""
+    families = {name: catalog.gauge_family(name, UNIT)
+                for name in catalog.gauge_family_ids()}
+    families["cli-constant"] = _resolve_gauge({"gauge": {"constant": 0.3}},
+                                              None, UNIT)
+    families["all"] = intersect_families(list(families.values()))
+    for name in catalog.random_ids():
+        own = catalog.random_entry(name).function.gauge_family
+        if own is not None:
+            families[f"{name}-bases"] = own
+    return families
+
+
+_NESTED = _declared_nested_families()
+
+
+@pytest.mark.parametrize("name", sorted(_NESTED))
+def test_declared_nested_families_shrink_pointwise(name):
+    # Refinement relies on every half width at level m + 1 being at most
+    # the one at level m, in floating point, at every point.
+    family = _NESTED[name]
+    assert family.nested
+    grid = np.concatenate([np.linspace(0.0, 1.0, 10_000),
+                           np.arange(2 ** 14 + 1) / 2 ** 14,
+                           catalog.indicator_points()])
+    alpha, beta = family(0).half_widths(grid)
+    for level in range(1, 14):
+        finer_alpha, finer_beta = family(level).half_widths(grid)
+        assert np.all(finer_alpha <= alpha) and np.all(finer_beta <= beta)
+        alpha, beta = finer_alpha, finer_beta
+
+
+def test_families_are_undeclared_by_default():
+    family = GaugeFamily("probe", _NESTED["uniform"].at_level)
+    assert not family.nested
+    assert not intersect_families([family, _NESTED["uniform"]]).nested
 
 
 def test_pinch_family_sharp_and_never_tags_the_set():

@@ -9,11 +9,13 @@ import pytest
 
 from gaugeprob import (
     DiscreteProbabilitySpace,
+    GaugeFamily,
     Interval,
     PathwiseRandomFunction,
     RandomVariable,
     as_pathwise,
     catalog,
+    constant_gauge,
     cousin_partition,
     deviation_probability,
     fubini_check,
@@ -50,6 +52,49 @@ def built(monkeypatch):
     monkeypatch.setattr(quadrature, "cousin_partition",
                         recording(quadrature.cousin_partition))
     return record
+
+
+@pytest.fixture
+def parents(monkeypatch):
+    """Record (split, pieces of the parent or None) of every division the
+    level pass builds."""
+    record = []
+    build = quadrature.cousin_partition
+
+    def wrapper(gauge, domain, **options):
+        parent = options.get("parent")
+        record.append((options.get("split", 0.5),
+                       None if parent is None else parent.pieces))
+        return build(gauge, domain, **options)
+
+    monkeypatch.setattr(quadrature, "cousin_partition", wrapper)
+    return record
+
+
+def test_only_a_nested_family_refines(parents):
+    """The pass refines each level's division from the previous level's
+    when the family declares itself nested, and never the fresh division;
+    the result is the same either way."""
+    entry = catalog.random_entry("trig-coeff")
+
+    def varying(m):
+        return constant_gauge(0.7 * 2.0 ** -m)
+
+    def run(nested):
+        family = GaugeFamily("varying", varying, nested=nested)
+        return integrate_pathwise(entry.function, entry.domain, 1e-3, 1e-2,
+                                  1e-6, gauge_family=family).as_dict()
+
+    undeclared = run(False)
+    assert len(parents) > 3
+    assert all(parent is None for _, parent in parents)
+    parents.clear()
+    assert run(True) == undeclared
+    constructed = [parent for split, parent in parents if split == 0.5]
+    assert constructed[0] is None
+    assert None not in constructed[1:]
+    assert constructed[1:] == sorted(set(constructed[1:]))  # level by level
+    assert all(parent is None for split, parent in parents if split != 0.5)
 
 
 RUNS = {

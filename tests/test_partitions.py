@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from gaugeprob import (
     Gauge,
     Interval,
+    InvalidGaugeError,
     PartitionDepthError,
     TaggedDivision,
     constant_gauge,
@@ -151,12 +152,13 @@ def _collapsing_gauge(at=0.3):
 
 
 def _outcome(build):
-    """A division's points and tags, or the type and text of its error."""
+    """A division's points, tags and depths, or the type and text of its
+    error."""
     try:
         division = build()
     except Exception as exc:  # the error itself is what gets compared
         return type(exc), str(exc)
-    return division.points, division.tags
+    return division.points, division.tags, division.depths
 
 
 def _assert_same(gauge, domain=UNIT, **options):
@@ -219,6 +221,170 @@ class TestKernelBitForBit:
         _assert_same(g, max_pieces=max_pieces)
 
 
+# Levels at which refinement is checked against a rebuild; the singular
+# families stop where a division reaches 4-6 million pieces.
+_REFINED_LEVELS = {"osc-singular": 3, "osc-singular-fine": 2,
+                   "uniform": 12, "uniform-2/3": 10,
+                   "indicator-pinch": 12, "indicator-pinch-alt": 12}
+
+
+def _refined_outcome(gauges, domain=UNIT, split=0.5, **limits):
+    """Build gauges[:-1] in a chain of refinements, then the outcome of
+    refining the last under ``limits``."""
+    parent = cousin_partition(gauges[0], domain, split=split)
+    for gauge in gauges[1:-1]:
+        parent = cousin_partition(gauge, domain, split=split, parent=parent)
+    return _outcome(lambda: cousin_partition(gauges[-1], domain, split=split,
+                                             parent=parent, **limits))
+
+
+def _assert_same_outcome(got, expected):
+    if isinstance(expected[0], type):
+        assert got == expected
+    else:
+        for a, b in zip(got, expected, strict=True):
+            assert np.array_equal(a, b)
+
+
+@st.composite
+def nested_families(draw, levels=3):
+    """``levels`` gauges, each of whose half widths are at most the one
+    before's: constant, affine or asymmetric, with widths drawn sorted."""
+    kind = draw(st.sampled_from(["constant", "affine", "asymmetric"]))
+
+    def shrinking(lo, hi):
+        return sorted(draw(st.lists(st.floats(min_value=lo, max_value=hi),
+                                    min_size=levels, max_size=levels)),
+                      reverse=True)
+
+    if kind == "constant":
+        return [constant_gauge(w) for w in shrinking(0.02, 1.5)]
+    if kind == "affine":
+        return [gauge_from_delta(lambda ts, lo=lo, slope=slope:
+                                 lo + slope * np.abs(ts))
+                for lo, slope in zip(shrinking(0.02, 0.3),
+                                     shrinking(0.0, 1.0))]
+    return [Gauge(width=lambda ts, a=a, b=b: (a, b))
+            for a, b in zip(shrinking(0.02, 0.8), shrinking(0.02, 0.8))]
+
+
+class TestRefinement:
+    """A division refined from the previous level's equals the rebuild, in
+    points, tags and depths, or raises the rebuild's error."""
+
+    @pytest.mark.parametrize("name", sorted(_REFINED_LEVELS))
+    def test_catalog_families(self, name):
+        family = catalog.gauge_family(name, UNIT)
+        assert family.nested
+        splits = [0.5] if name.startswith("osc-singular") else [0.5, 0.45]
+        for split in splits:
+            parent = cousin_partition(family(0), UNIT, split=split)
+            for level in range(1, _REFINED_LEVELS[name] + 1):
+                refined = cousin_partition(family(level), UNIT, split=split,
+                                           parent=parent)
+                rebuilt = cousin_partition(family(level), UNIT, split=split)
+                assert np.array_equal(refined.points, rebuilt.points)
+                assert np.array_equal(refined.tags, rebuilt.tags)
+                assert np.array_equal(refined.depths, rebuilt.depths)
+                parent = refined
+                del rebuilt  # held through the next level's builds otherwise
+
+    @settings(max_examples=40)
+    @given(nested_families(), st.floats(min_value=0.1, max_value=0.9))
+    def test_nested_families(self, gauges, split):
+        for domain in (UNIT, Interval(-1.0, 2.0)):
+            _assert_same_outcome(
+                _refined_outcome(gauges, domain, split=split),
+                _outcome(lambda: cousin_partition(gauges[-1], domain,
+                                                  split=split)))
+
+    @settings(max_examples=30)
+    @given(nested_families(levels=2), st.floats(min_value=0.05, max_value=0.95),
+           st.sampled_from([20, DEFAULT_MAX_DEPTH]),
+           st.sampled_from([300, 3000, DEFAULT_MAX_PIECES]))
+    def test_collapsing_intersections(self, gauges, at, max_depth, max_pieces):
+        # Level 1 meets a width that collapses at ``at``: the refinement
+        # and the rebuild raise the same error, whichever comes first.
+        gauges[-1] = gauge_intersection(gauges[-1], _collapsing_gauge(at))
+        for domain in (UNIT, Interval(-1.0, 2.0)):
+            options = dict(max_depth=max_depth, max_pieces=max_pieces)
+            _assert_same_outcome(
+                _refined_outcome(gauges, domain, **options),
+                _outcome(lambda: cousin_partition(gauges[-1], domain,
+                                                  **options)))
+
+    @pytest.mark.parametrize("max_depth", [10, 20, DEFAULT_MAX_DEPTH])
+    def test_depth_cap_names_the_rebuilds_t(self, max_depth):
+        # Widths collapse at 0.2 and 0.5.  The refinement meets 0.2 first,
+        # the rebuild 0.5, and the error names 0.5.
+        collapsing = gauge_intersection(_collapsing_gauge(0.2),
+                                        _collapsing_gauge(0.5))
+        gauges = [gauge_from_delta(lambda ts: 0.2 + 0.5 * ts),
+                  gauge_intersection(
+                      gauge_from_delta(lambda ts: 0.1 + 0.25 * ts),
+                      collapsing)]
+        got = _refined_outcome(gauges, max_depth=max_depth)
+        assert got == _outcome(lambda: cousin_partition(
+            gauges[1], UNIT, max_depth=max_depth))
+        assert got[0] is PartitionDepthError
+        assert "near t=0.5" in got[1]
+
+    def test_ceiling_at_the_node_count(self):
+        # The ceiling counts the rebuild's 2n - 1 bisection nodes: the
+        # parent's inner nodes are charged before the first block.
+        gauges = [constant_gauge(0.3), constant_gauge(1e-3)]
+        nodes = 2 * cousin_partition(gauges[1], UNIT).pieces - 1
+        for max_pieces in (nodes, nodes - 1, 500):
+            _assert_same_outcome(
+                _refined_outcome(gauges, max_pieces=max_pieces),
+                _outcome(lambda: cousin_partition(
+                    gauges[1], UNIT, max_pieces=max_pieces)))
+        assert _refined_outcome(gauges, max_pieces=nodes - 1) == (
+            PartitionDepthError,
+            f"gauge demands more than {nodes - 1} pieces; refine less "
+            "aggressively or supply a coarser gauge family")
+
+    def test_width_turning_non_positive(self):
+        def width(ts):
+            return np.where(ts > 0.6, -1.0, 0.05), 0.05
+
+        gauges = [constant_gauge(0.3), Gauge(width=width)]
+        got = _refined_outcome(gauges)
+        assert got[0] is InvalidGaugeError
+        assert got == _outcome(lambda: cousin_partition(gauges[1], UNIT))
+
+    def test_depths(self):
+        d = cousin_partition(constant_gauge(0.3), UNIT)
+        assert d.depths.dtype == np.uint8
+        assert d.depths.tolist() == [2, 2, 2, 2]
+        assert not d.depths.flags.writeable
+        assert TaggedDivision(points=np.array([0.0, 1.0]),
+                              tags=np.array([0.5])).depths is None
+
+    def test_parent_must_come_from_the_kernel_on_the_same_domain(self):
+        by_hand = TaggedDivision(points=np.array([0.0, 1.0]),
+                                 tags=np.array([0.5]))
+        with pytest.raises(ValueError, match="from cousin_partition"):
+            cousin_partition(constant_gauge(0.3), UNIT, parent=by_hand)
+        other = cousin_partition(constant_gauge(0.3), Interval(0.0, 2.0))
+        with pytest.raises(ValueError, match="parent divides"):
+            cousin_partition(constant_gauge(0.3), UNIT, parent=other)
+
+    def test_blocks_cut_in_two_below_a_parent(self):
+        # A parent of more than _BLOCK leaves is seeded in two chunks, and
+        # the halves of the first chunk's depth-19 block are taken in two.
+        parent = cousin_partition(gauge_from_delta(
+            lambda ts: np.where(ts < 1 / 16, 0.75, 1.5) / _BLOCK), UNIT)
+        assert parent.pieces > _BLOCK
+        assert np.count_nonzero(parent.depths[:_BLOCK] == 19) > _BLOCK // 2
+        gauge = constant_gauge(0.75 / _BLOCK)
+        refined = cousin_partition(gauge, UNIT, parent=parent)
+        rebuilt = cousin_partition(gauge, UNIT)
+        assert np.array_equal(refined.points, rebuilt.points)
+        assert np.array_equal(refined.tags, rebuilt.tags)
+        assert np.array_equal(refined.depths, rebuilt.depths)
+
+
 def _counting(gauge):
     """``gauge`` with a width that records how many points it is given."""
     seen = []
@@ -242,6 +408,18 @@ class TestGaugeEvaluations:
         g, seen = _counting(gauge)
         d = cousin_partition(g, UNIT, split=split)
         assert sum(seen) <= 3 * d.pieces
+
+    @pytest.mark.parametrize("refined", [False, True])
+    def test_debug_count_is_the_points_evaluated(self, caplog, refined):
+        # The level-0 parent's 2.2M pieces are seeded in five chunks.
+        family = catalog.gauge_family("osc-singular", UNIT)
+        parent = cousin_partition(family(0), UNIT) if refined else None
+        g, seen = _counting(family(1))
+        with caplog.at_level(logging.DEBUG, logger="gaugeprob"):
+            d = cousin_partition(g, UNIT, parent=parent)
+        [record] = caplog.records
+        assert record.getMessage().endswith(f", {sum(seen)} gauge points")
+        assert sum(seen) <= (2.2 if refined else 3) * d.pieces  # 2.12 refined
 
     def test_one_debug_record_per_division(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="gaugeprob"):

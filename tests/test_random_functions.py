@@ -23,7 +23,10 @@ from gaugeprob import (
     SpaceMismatchError,
     TaggedDivision,
     as_pathwise,
+    catalog,
+    cousin_partition,
     expectation_function,
+    gauge_from_delta,
     integrate_pathwise,
     integrate_separable,
     random_riemann_sum,
@@ -172,6 +175,62 @@ class TestErrorContract:
             f"integrand returned a non-finite value at tag {tag!r}")
         assert tag * 1024 != math.floor(tag * 1024)
         assert outcome is None
+
+
+class TestRankKBlocks:
+    """A rank-K sum evaluates its bases in column blocks of at most
+    _BLOCK_CELLS cells and sums each row whole.  A NumPy ufunc gives the
+    same bits at any array length, so the sums, and the error of the dense
+    fallback, do not depend on the block size."""
+
+    @staticmethod
+    def outcome(call):
+        try:
+            return call().values.tobytes()
+        except EvaluationError as exc:
+            return str(exc), exc.tag, exc.outcome
+
+    @staticmethod
+    def division():
+        d = cousin_partition(gauge_from_delta(lambda ts: 2e-4 + 4e-4 * ts),
+                             Interval(0.0, 1.0), split=0.45)
+        assert 2000 < d.pieces < 20_000
+        return d
+
+    def assert_block_free(self, monkeypatch, f, division):
+        calls = (lambda: stochastic._separable_sums(f, division),
+                 lambda: random_riemann_sum(f, division))
+        whole = [self.outcome(call) for call in calls]
+        # One block above, about 300 tags per block below.
+        assert f.terms * division.pieces <= stochastic._BLOCK_CELLS
+        monkeypatch.setattr(stochastic, "_BLOCK_CELLS", 300 * f.terms)
+        assert [self.outcome(call) for call in calls] == whole
+        return whole
+
+    @pytest.mark.parametrize("basis", catalog.scalar_ids() + ("all",))
+    def test_sums_bit_for_bit(self, monkeypatch, basis):
+        ids = catalog.scalar_ids() if basis == "all" else (basis, "trig-mix")
+        coefficients = (rv(1.0, -2.5), rv(0.3, 4.0), rv(-1.5, 0.25))
+        f = SeparableRandomFunction(
+            coefficients=tuple(coefficients[k % 3] for k in range(len(ids))),
+            bases=tuple(catalog.scalar_integrand(i) for i in ids))
+        self.assert_block_free(monkeypatch, f, self.division())
+
+    def test_non_finite_fallback_names_the_same_tag(self, monkeypatch):
+        division = self.division()
+        bad = float(division.tags[division.pieces * 2 // 3])
+
+        def spike(ts):
+            return np.where(ts == bad, np.nan, ts)
+
+        f = SeparableRandomFunction(
+            coefficients=(rv(1.0, 2.0), rv(0.0, -1.0)),
+            bases=(LINEAR, ScalarIntegrand(name="spike", fn=spike)))
+        separable, dense = self.assert_block_free(monkeypatch, f, division)
+        assert separable == (
+            f"integrand returned a non-finite value at tag {bad!r}", bad, None)
+        assert dense == ("random function returned a non-finite value at "
+                         f"tag {bad!r}, outcome 0", bad, 0)
 
 
 class TestPathwiseForm:
