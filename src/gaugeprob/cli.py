@@ -13,7 +13,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -21,7 +21,12 @@ from . import catalog
 from .errors import GaugeProbError, ScenarioError
 from .gauges import GaugeFamily, Interval, constant_gauge
 from .probability import DiscreteProbabilitySpace, RandomVariable
-from .quadrature import kh_integrate, kh_levels, resolve_gauge_family
+from .quadrature import (
+    DEFAULT_MAX_LEVELS,
+    kh_integrate,
+    kh_levels,
+    resolve_gauge_family,
+)
 from .random_functions import RandomFunction, SeparableRandomFunction
 from .sampling import check_distribution, sample_values
 from .schemas import (
@@ -32,6 +37,8 @@ from .schemas import (
     write_report,
 )
 from .stochastic import (
+    DEFAULT_ETA,
+    DERIVATIVE_EPS,
     convergence_tails,
     derivative_grid,
     derivative_in_probability_at,
@@ -56,29 +63,13 @@ MAX_GRID_POINTS = 10_000
 
 _DEFAULTS = {
     "eps": 1e-3,
-    "eta": 1e-2,
+    "eta": DEFAULT_ETA,
     "tol": 1e-6,
     "scalar_tol": 1e-9,
-    "levels": 40,
+    "levels": DEFAULT_MAX_LEVELS,
     "table_levels": 10,
-    "derivative_eps": 1e-2,
+    "derivative_eps": DERIVATIVE_EPS,
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: command, scenario source, output, overrides."""
-
-    command: str
-    catalog: str | None
-    scenario: str | None
-    out: str | None
-    format: str
-    seed: int
-    eps: float | None
-    eta: float | None
-    tol: float | None
-    levels: int | None
 
 
 def _configure_logging():
@@ -116,10 +107,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_scenario(config: RunConfig) -> dict:
-    if config.catalog is not None:
-        return validate_scenario({"catalog": config.catalog})
-    path = Path(config.scenario)
+def _load_scenario(args: argparse.Namespace) -> dict:
+    if args.catalog is not None:
+        return validate_scenario({"catalog": args.catalog})
+    path = Path(args.scenario)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -148,7 +139,7 @@ def _finite(name: str, value) -> float:
 def _domain(scenario: dict, default) -> Interval:
     try:
         return Interval.coerce(scenario.get("domain", default))
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:
         raise ScenarioError(f"scenario.domain: {exc}") from None
 
 
@@ -159,10 +150,10 @@ def _positive(name: str, value) -> float:
     return value
 
 
-def _number(config: RunConfig, scenario: dict, key: str, default=None):
+def _number(args: argparse.Namespace, scenario: dict, key: str, default=None):
     """The flag, else the scenario's value, else ``_DEFAULTS[default or
     key]``; ``levels`` is an integer, the others finite and positive."""
-    value, name = getattr(config, key), f"--{key}"
+    value, name = getattr(args, key), f"--{key}"
     if value is None:
         value, name = (scenario.get(key, _DEFAULTS[default or key]),
                        f"scenario.{key}")
@@ -284,14 +275,14 @@ def _resolve_gauge(scenario: dict, integrand, domain: Interval) -> GaugeFamily:
 # command handlers: return (parameters, result, status)
 
 
-def _run_integrate(config: RunConfig, scenario: dict):
+def _run_integrate(args: argparse.Namespace, scenario: dict):
     if "catalog" not in scenario:
         raise ScenarioError("scenario.catalog: the integrate command needs a "
                             "scalar integrand id")
     integrand = catalog.scalar_integrand(scenario["catalog"])
     domain = _domain(scenario, integrand.domain)
-    tol = _number(config, scenario, "tol", "scalar_tol")
-    levels = _number(config, scenario, "levels")
+    tol = _number(args, scenario, "tol", "scalar_tol")
+    levels = _number(args, scenario, "levels")
     family = _resolve_gauge(scenario, integrand, domain)
     result = kh_integrate(integrand, domain, tol, gauge_family=family,
                           max_levels=levels)
@@ -302,13 +293,8 @@ def _run_integrate(config: RunConfig, scenario: dict):
         "levels": levels,
         "gauge": family.name,
     }
-    payload = {
-        "value": result.value,
-        "refinement_levels": result.refinement_levels,
-        "final_mesh_bound": result.final_mesh_bound,
-        "converged": result.converged,
-    }
-    return parameters, payload, "pass" if result.converged else "unverified"
+    status = "pass" if result.converged else "unverified"
+    return parameters, asdict(result), status
 
 
 def _stochastic_parameters(domain, eps, eta, tol, levels, gauge_name):
@@ -319,12 +305,13 @@ def _stochastic_parameters(domain, eps, eta, tol, levels, gauge_name):
     }
 
 
-def _run_integrate_prob(config: RunConfig, scenario: dict, riemann=False):
-    function, domain, entry = _resolve_function(scenario, config.seed)
-    eps = _number(config, scenario, "eps")
-    eta = _number(config, scenario, "eta")
-    tol = _number(config, scenario, "tol")
-    levels = _number(config, scenario, "levels")
+def _run_integrate_prob(args: argparse.Namespace, scenario: dict,
+                        riemann=False):
+    function, domain, entry = _resolve_function(scenario, args.seed)
+    eps = _number(args, scenario, "eps")
+    eta = _number(args, scenario, "eta")
+    tol = _number(args, scenario, "tol")
+    levels = _number(args, scenario, "levels")
     if riemann:
         result = integrate_riemann_in_probability(function, domain, eps, eta,
                                                   tol, max_levels=levels)
@@ -340,12 +327,12 @@ def _run_integrate_prob(config: RunConfig, scenario: dict, riemann=False):
     return parameters, result.as_dict(), status
 
 
-def _run_uniqueness(config: RunConfig, scenario: dict):
-    function, domain, entry = _resolve_function(scenario, config.seed)
-    eps = _number(config, scenario, "eps")
-    eta = _number(config, scenario, "eta")
-    tol = _number(config, scenario, "tol")
-    levels = _number(config, scenario, "levels")
+def _run_uniqueness(args: argparse.Namespace, scenario: dict):
+    function, domain, entry = _resolve_function(scenario, args.seed)
+    eps = _number(args, scenario, "eps")
+    eta = _number(args, scenario, "eta")
+    tol = _number(args, scenario, "tol")
+    levels = _number(args, scenario, "levels")
     if "strategies" in scenario:
         ids = scenario["strategies"]
         if not (isinstance(ids, list) and len(ids) == 2):
@@ -364,9 +351,9 @@ def _run_uniqueness(config: RunConfig, scenario: dict):
     return parameters, report.as_dict(), "pass" if ok else "fail"
 
 
-def _run_fubini(config: RunConfig, scenario: dict):
-    function, domain, entry = _resolve_function(scenario, config.seed)
-    tol = _number(config, scenario, "tol")
+def _run_fubini(args: argparse.Namespace, scenario: dict):
+    function, domain, entry = _resolve_function(scenario, args.seed)
+    tol = _number(args, scenario, "tol")
     if "dominator" in scenario:
         spec = scenario["dominator"]
         if not (isinstance(spec, dict) and "values" in spec):
@@ -381,7 +368,7 @@ def _run_fubini(config: RunConfig, scenario: dict):
     else:
         raise ScenarioError("scenario.dominator: missing and the entry ships "
                             "no dominating variable")
-    levels = _number(config, scenario, "levels")
+    levels = _number(args, scenario, "levels")
     report = fubini_check(function, domain, dominator, tol, max_levels=levels)
     parameters = {
         "domain": [domain.lower, domain.upper],
@@ -409,7 +396,7 @@ def _resolve_pair(scenario: dict, seed: int):
             _finite("scenario.t0", scenario.get("t0", 0.5)))
 
 
-def _run_derivative(config: RunConfig, scenario: dict):
+def _run_derivative(args: argparse.Namespace, scenario: dict):
     radius = _finite("scenario.grid_radius", scenario.get("grid_radius", 1e-3))
     if radius == 0:
         raise ScenarioError("scenario.grid_radius: must be non-zero")
@@ -417,9 +404,9 @@ def _run_derivative(config: RunConfig, scenario: dict):
     if points > MAX_GRID_POINTS:
         raise ScenarioError(f"scenario.grid_points: at most {MAX_GRID_POINTS} "
                             f"points, got {points}")
-    F, f, domain, t0 = _resolve_pair(scenario, config.seed)
-    eps = _number(config, scenario, "eps", "derivative_eps")
-    eta = _number(config, scenario, "eta")
+    F, f, domain, t0 = _resolve_pair(scenario, args.seed)
+    eps = _number(args, scenario, "eps", "derivative_eps")
+    eta = _number(args, scenario, "eta")
     grid = derivative_grid(t0, radius, points)
     if t0 in grid:
         raise ScenarioError(
@@ -434,12 +421,12 @@ def _run_derivative(config: RunConfig, scenario: dict):
     return parameters, report.as_dict(), "pass" if report.passed else "fail"
 
 
-def _run_ftc(config: RunConfig, scenario: dict):
-    F, f, domain, _ = _resolve_pair(scenario, config.seed)
-    eps = _number(config, scenario, "eps")
-    eta = _number(config, scenario, "eta")
-    tol = _number(config, scenario, "tol")
-    levels = _number(config, scenario, "levels")
+def _run_ftc(args: argparse.Namespace, scenario: dict):
+    F, f, domain, _ = _resolve_pair(scenario, args.seed)
+    eps = _number(args, scenario, "eps")
+    eta = _number(args, scenario, "eta")
+    tol = _number(args, scenario, "tol")
+    levels = _number(args, scenario, "levels")
     report = ftc_experiment(F, f, domain, eps, eta, tol, max_levels=levels)
     parameters = {
         "domain": [domain.lower, domain.upper],
@@ -449,10 +436,10 @@ def _run_ftc(config: RunConfig, scenario: dict):
     return parameters, report.as_dict(), status
 
 
-def _run_convergence_table(config: RunConfig, scenario: dict):
-    levels = _number(config, scenario, "levels", "table_levels")
-    eps = _number(config, scenario, "eps")
-    eta = _number(config, scenario, "eta")
+def _run_convergence_table(args: argparse.Namespace, scenario: dict):
+    levels = _number(args, scenario, "levels", "table_levels")
+    eps = _number(args, scenario, "eps")
+    eta = _number(args, scenario, "eta")
     identifier = scenario.get("catalog")
     if identifier is not None and identifier in catalog.scalar_ids():
         integrand = catalog.scalar_integrand(identifier)
@@ -461,8 +448,8 @@ def _run_convergence_table(config: RunConfig, scenario: dict):
         table = [(level, division.mesh, value, None) for level, division, value
                  in kh_levels(integrand, domain, family, max_levels=levels)]
     else:
-        function, domain, entry = _resolve_function(scenario, config.seed)
-        tol = _number(config, scenario, "tol")
+        function, domain, entry = _resolve_function(scenario, args.seed)
+        tol = _number(args, scenario, "tol")
         family = _resolve_gauge(scenario, function, domain)
         table = [(level, mesh, None, tail) for level, mesh, tail
                  in convergence_tails(function, domain, eps, tol,
@@ -489,16 +476,16 @@ _HANDLERS = {
 }
 
 
-def run(config: RunConfig) -> tuple[int, dict]:
-    """Execute one configuration; returns (exit status, report dict)."""
-    if config.levels is not None and config.levels < 0:
-        raise ScenarioError(f"--levels: must be >= 0, got {config.levels}")
-    scenario = _load_scenario(config)
-    parameters, payload, status = _HANDLERS[config.command](config, scenario)
-    source = ({"catalog": config.catalog} if config.catalog is not None
-              else {"scenario": str(config.scenario)})
+def run(args: argparse.Namespace) -> tuple[int, dict]:
+    """Execute one parsed invocation; returns (exit status, report dict)."""
+    if args.levels is not None and args.levels < 0:
+        raise ScenarioError(f"--levels: must be >= 0, got {args.levels}")
+    scenario = _load_scenario(args)
+    parameters, payload, status = _HANDLERS[args.command](args, scenario)
+    source = ({"catalog": args.catalog} if args.catalog is not None
+              else {"scenario": str(args.scenario)})
     report = build_report(
-        command=config.command, source=source, seed=config.seed,
+        command=args.command, source=source, seed=args.seed,
         parameters=parameters, result=payload, status=status,
         generated_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )
@@ -512,19 +499,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    config = RunConfig(
-        command=args.command, catalog=args.catalog, scenario=args.scenario,
-        out=args.out, format=args.format, seed=args.seed,
-        eps=args.eps, eta=args.eta, tol=args.tol, levels=args.levels,
-    )
     try:
-        status, report = run(config)
-        if config.out is None:
-            write_report(report, sys.stdout, config.format)
+        status, report = run(args)
+        if args.out is None:
+            write_report(report, sys.stdout, args.format)
         else:
-            out_path = Path(config.out)
+            out_path = Path(args.out)
             with out_path.open("w", encoding="utf-8") as stream:
-                write_report(report, stream, config.format)
+                write_report(report, stream, args.format)
         return status
     except (GaugeProbError, ValueError, OSError, MemoryError) as exc:
         log.debug("failure detail", exc_info=True)

@@ -167,7 +167,7 @@ def scaled_uniform_family(domain: Interval, factor: float, name: str) -> GaugeFa
     return GaugeFamily(name=name, at_level=at_level, nested=True)
 
 
-def intersect_families(families, name: str | None = None) -> GaugeFamily:
+def intersect_families(families) -> GaugeFamily:
     """Levelwise intersection of several gauge families, nested when every
     member is."""
     families = tuple(families)
@@ -175,7 +175,6 @@ def intersect_families(families, name: str | None = None) -> GaugeFamily:
         raise ValueError("need at least one family to intersect")
     if len(families) == 1:
         return families[0]
-    label = name or "&".join(f.name for f in families)
 
     def at_level(level: int) -> Gauge:
         gauge = families[0](level)
@@ -183,5 +182,6 @@ def intersect_families(families, name: str | None = None) -> GaugeFamily:
             gauge = gauge_intersection(gauge, fam(level))
         return gauge
 
-    return GaugeFamily(name=label, at_level=at_level,
+    return GaugeFamily(name="&".join(f.name for f in families),
+                       at_level=at_level,
                        nested=all(f.nested for f in families))

@@ -149,16 +149,6 @@ class RandomVariable:
     def __abs__(self):
         return RandomVariable(space=self.space, values=np.abs(self.values))
 
-    def as_dict(self) -> dict:
-        return {"space": self.space.as_dict(), "values": self.values.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict,
-                  space: DiscreteProbabilitySpace | None = None) -> "RandomVariable":
-        if space is None:
-            space = DiscreteProbabilitySpace.from_dict(data["space"])
-        return cls(space=space, values=data["values"])
-
 
 def prob_event(space: DiscreteProbabilitySpace,
                predicate: Callable[[int], bool]) -> float:

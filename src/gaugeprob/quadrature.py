@@ -21,6 +21,11 @@ from .partitions import TaggedDivision, cousin_partition
 
 DEFAULT_MAX_LEVELS = 40
 
+# Integrands, and the pathwise values of random functions, are evaluated in
+# column blocks of about this many (row, tag) cells, so no temporary spans
+# a whole multi-million-piece division.
+_BLOCK_CELLS = 1 << 20
+
 log = logging.getLogger("gaugeprob")
 
 
@@ -47,16 +52,33 @@ class ScalarIntegrand:
 
 
 def _evaluate(phi, tags: np.ndarray) -> np.ndarray:
-    """phi, a :class:`ScalarIntegrand` or a bare array callable, called once
-    on the whole tag array; the result is broadcast to the tags' shape."""
+    """phi, a :class:`ScalarIntegrand` or a bare array callable, called on
+    one array of tags; the result is broadcast to the tags' shape.  Sums
+    call it on contiguous slices of a division's tags, so an integrand must
+    be pointwise."""
     fn = phi.fn if isinstance(phi, ScalarIntegrand) else phi
     tags = np.asarray(tags, dtype=float)
     return np.broadcast_to(np.asarray(fn(tags), dtype=float), tags.shape)
 
 
+def _values_in_blocks(integrands, tags: np.ndarray) -> np.ndarray:
+    """The len(integrands) x tags.size array of the integrands' values,
+    filled in column blocks of at most _BLOCK_CELLS cells (at least one
+    column), so an integrand's temporaries never span a whole division.
+    A NumPy ufunc gives the same bits at any array length."""
+    tags = np.asarray(tags, dtype=float)
+    values = np.empty((len(integrands), tags.size))
+    step = max(1, _BLOCK_CELLS // len(integrands))
+    for start in range(0, tags.size, step):
+        block = tags[start:start + step]
+        for row, phi in zip(values, integrands):
+            row[start:start + step] = _evaluate(phi, block)
+    return values
+
+
 def riemann_sum_scalar(phi, division: TaggedDivision) -> float:
     """sum phi(xi_i) (x_{i+1} - x_i) over the division's pieces."""
-    values = _evaluate(phi, division.tags)
+    values = _values_in_blocks((phi,), division.tags)[0]
     bad = ~np.isfinite(values)
     if bad.any():
         t_bad = float(division.tags[bad][0])
@@ -64,7 +86,8 @@ def riemann_sum_scalar(phi, division: TaggedDivision) -> float:
             f"integrand returned a non-finite value at tag {t_bad!r}", tag=t_bad
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(np.sum(values * division.widths))
+        values *= division.widths
+        total = float(np.sum(values))
     if not math.isfinite(total):
         raise EvaluationError("Riemann sum of the integrand is not finite")
     return total

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import SpaceMismatchError
 from .gauges import GaugeFamily, intersect_families
 from .probability import DiscreteProbabilitySpace, RandomVariable
-from .quadrature import ScalarIntegrand
+from .quadrature import _BLOCK_CELLS, ScalarIntegrand, _values_in_blocks
 
 # Pathwise values are evaluated in column blocks, so no outcomes x tags
 # matrix is held whole.  About _BLOCK_CELLS (outcome, tag) cells are in
@@ -30,7 +30,6 @@ from .quadrature import ScalarIntegrand
 # after another, a genuine pathwise evaluator blocks of _BLOCK_CELLS // 2
 # cells on up to _WORKERS threads.  A block holds at least one column, so
 # with more outcomes than that it is one column.
-_BLOCK_CELLS = 1 << 20
 
 
 def _usable_cpus() -> int:
@@ -154,8 +153,7 @@ def as_pathwise(f: RandomFunction) -> PathwiseRandomFunction:
     coeffs = f.coefficient_matrix()  # outcomes x terms
 
     def matrix_evaluate(ts: np.ndarray) -> np.ndarray:
-        basis_values = np.stack([b.values_at(ts) for b in f.bases], axis=0)
-        return coeffs @ basis_values
+        return coeffs @ _values_in_blocks(f.bases, ts)
 
     return _SeparableView(
         space=f.space,
@@ -236,11 +234,9 @@ def expectation_function(f: RandomFunction) -> ScalarIntegrand:
 
     if isinstance(f, SeparableRandomFunction):
         means = np.array([float(weights @ c.values) for c in f.coefficients])
-        bases = f.bases
 
         def fn(ts: np.ndarray) -> np.ndarray:
-            basis_values = np.stack([b.values_at(ts) for b in bases], axis=0)
-            return means @ basis_values
+            return means @ _values_in_blocks(f.bases, ts)
 
     else:
         def column_means(start, block):

@@ -74,12 +74,11 @@ def sample_space(spec: str, n: int, seed: int
     return space, RandomVariable(space=space, values=values)
 
 
-def sample_coefficients(spec: str, n: int, seed: int, count: int,
-                        space: DiscreteProbabilitySpace | None = None,
-                        ) -> list[RandomVariable]:
-    """Several coefficient variables from one seeded stream (seed+k per draw)."""
-    if space is None:
-        space = DiscreteProbabilitySpace.uniform(n)
+def sample_coefficients(spec: str, n: int, seed: int,
+                        count: int) -> list[RandomVariable]:
+    """Several coefficient variables on one uniform-weight n-outcome space,
+    from one seeded stream (seed+k per draw)."""
+    space = DiscreteProbabilitySpace.uniform(n)
     return [
         RandomVariable(space=space, values=sample_values(spec, n, seed + k))
         for k in range(count)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,11 +35,11 @@ from .quadrature import (
     DEFAULT_MAX_LEVELS,
     LevelPass,
     Settle,
+    _values_in_blocks,
     kh_integrate,
     riemann_sum_scalar,
 )
 from .random_functions import (
-    _BLOCK_CELLS,
     RandomFunction,
     SeparableRandomFunction,
     as_pathwise,
@@ -50,6 +50,9 @@ from .random_functions import (
 
 DEFAULT_EPS_GRID = (1e-2, 1e-3, 1e-4)
 DEFAULT_ETA = 1e-2
+# The eps of the difference-quotient checks, in ``ftc_experiment`` and as
+# the ``derivative`` command's default.
+DERIVATIVE_EPS = 1e-2
 
 # Certification may refine this many levels past the integration level while
 # hunting a gauge fine enough for a strict (eps, eta) pair, and never grows
@@ -110,19 +113,11 @@ def _combine(f: SeparableRandomFunction, scalars) -> RandomVariable:
 def _rank_k_sums(f: SeparableRandomFunction,
                  division: TaggedDivision) -> np.ndarray | None:
     """C @ s, where s holds the K sums riemann_sum_scalar(phi_k, division);
-    None when a value is not finite or a cell could overflow.
-
-    The bases are evaluated in column blocks of at most _BLOCK_CELLS cells
-    into one K x n array, so a basis's temporaries never span the whole
-    division; the rows are then summed in one np.sum, so the sums do not
-    depend on the block size."""
-    tags, widths = division.tags, division.widths
-    basis_values = np.empty((len(f.bases), tags.size))
-    step = max(1, _BLOCK_CELLS // len(f.bases))
-    for start in range(0, tags.size, step):
-        block = tags[start:start + step]
-        for row, basis in zip(basis_values, f.bases):
-            row[start:start + step] = basis.values_at(block)
+    None when a value is not finite or a cell could overflow.  The bases are
+    evaluated in column blocks into one K x n array, whose rows are then
+    summed in one np.sum, as riemann_sum_scalar sums its one row."""
+    widths = division.widths
+    basis_values = _values_in_blocks(f.bases, division.tags)
     coefficients = f.coefficient_matrix()
     with np.errstate(over="ignore", invalid="ignore"):
         reach = (np.abs(coefficients).max(axis=0)
@@ -191,18 +186,6 @@ def random_riemann_sum(f: RandomFunction, division: TaggedDivision) -> RandomVar
             "Riemann sum of the random function is not finite at outcome "
             f"{outcome}", outcome=outcome,
         )
-    return RandomVariable(space=f.space, values=sums)
-
-
-def _separable_sums(f: SeparableRandomFunction,
-                    division: TaggedDivision) -> RandomVariable:
-    """The sums integrate_separable certifies with: rank K, or, where
-    random_riemann_sum falls back to the dense sum, the K scalar sums
-    combined by _combine, so an error names the tag as riemann_sum_scalar
-    does."""
-    sums = _rank_k_sums(f, division)
-    if sums is None:
-        return _combine(f, [riemann_sum_scalar(b, division) for b in f.bases])
     return RandomVariable(space=f.space, values=sums)
 
 
@@ -304,7 +287,7 @@ def integrate_separable(f: SeparableRandomFunction, domain: Interval,
 
     level = max(r.refinement_levels for r in scalar_results)
     levels = LevelPass(f, domain, None, level, max_levels,
-                       lambda division: _separable_sums(f, division))
+                       lambda division: random_riemann_sum(f, division))
     levels.advance()
     rows, ok = _certify(integral, levels, _pair_rows(None, None, tol),
                         levels.sum_over)
@@ -318,7 +301,7 @@ def integrate_pathwise(f: RandomFunction, domain: Interval, eps: float,
                        eta: float, tol: float,
                        gauge_family: GaugeFamily | None = None,
                        max_levels: int = DEFAULT_MAX_LEVELS,
-                       method: str = "pathwise") -> StochasticIntegralResult:
+                       ) -> StochasticIntegralResult:
     """Integrate every sample path under one shared gauge family.
 
     A single gauge must serve all outcomes simultaneously, so each level
@@ -340,7 +323,7 @@ def integrate_pathwise(f: RandomFunction, domain: Interval, eps: float,
     rows, tails_ok = _certify(integral, levels, _pair_rows(eps, eta, tol),
                               levels.sum_over)
     return StochasticIntegralResult(
-        integral=integral, certificate=rows, method=method,
+        integral=integral, certificate=rows, method="pathwise",
         verified=tails_ok and not failed, levels_used=level,
         failed_outcomes=failed,
     )
@@ -380,21 +363,21 @@ def integrate_riemann_in_probability(f: RandomFunction, domain: Interval,
     probability: smooth integrands reproduce the gauge result, while
     integrands needing local pinching stall or miss under any level budget.
     """
-    return integrate_pathwise(
-        f, domain, eps, eta, tol,
-        gauge_family=uniform_gauge_family(domain),
-        max_levels=max_levels, method="riemann",
-    )
+    result = integrate_pathwise(f, domain, eps, eta, tol,
+                                gauge_family=uniform_gauge_family(domain),
+                                max_levels=max_levels)
+    return replace(result, method="riemann")
 
 
 def _deviation_rows(x: RandomVariable, y: RandomVariable, eps: float,
-                    floor: float, count: int = 5):
-    """(e, P(|x - y| >= e)) on an eps grid descending geometrically to floor."""
+                    floor: float):
+    """(e, P(|x - y| >= e)) on a five-point eps grid descending
+    geometrically to floor."""
     if eps <= floor:
         grid = [eps]
     else:
-        ratio = (floor / eps) ** (1.0 / (count - 1))
-        grid = [eps * ratio ** j for j in range(count - 1)] + [floor]
+        ratio = (floor / eps) ** (1.0 / 4)
+        grid = [eps * ratio ** j for j in range(4)] + [floor]
     return tuple((e, deviation_probability(x, y, e)) for e in grid)
 
 
@@ -457,10 +440,11 @@ def verify_uniqueness(f: RandomFunction, domain: Interval, strategies,
     )
 
 
-def _chebyshev_grid(domain: Interval, count: int = 257) -> np.ndarray:
+def _chebyshev_grid(domain: Interval) -> np.ndarray:
+    """The 257 Chebyshev nodes of the domain, ascending."""
     center = 0.5 * (domain.lower + domain.upper)
     half = 0.5 * domain.width
-    nodes = center + half * np.cos(np.pi * np.arange(count) / (count - 1))
+    nodes = center + half * np.cos(np.pi * np.arange(257) / 256)
     return np.sort(nodes)
 
 
@@ -527,7 +511,6 @@ def _domination_violation(f: RandomFunction, ts: np.ndarray,
 
 def fubini_check(f: RandomFunction, domain: Interval,
                  dominator: RandomVariable, tol: float,
-                 grid_points: int = 257,
                  max_levels: int = DEFAULT_MAX_LEVELS) -> FubiniReport:
     """Check that integrating in t and averaging over outcomes commute.
 
@@ -550,7 +533,7 @@ def fubini_check(f: RandomFunction, domain: Interval,
         raise ValueError("dominator must be nonnegative almost everywhere")
     a_moment = moment(dominator, 1)
 
-    grid = _chebyshev_grid(domain, grid_points)
+    grid = _chebyshev_grid(domain)
     violation = _domination_violation(f, grid, dominator)
 
     mean_fn = expectation_function(f)
@@ -737,25 +720,23 @@ class FtcReport:
 
 def ftc_experiment(F: RandomFunction, f: RandomFunction, domain: Interval,
                    eps: float, eta: float, tol: float,
-                   derivative_points: int = 10,
-                   derivative_eps: float = 1e-2,
                    max_levels: int = DEFAULT_MAX_LEVELS) -> FtcReport:
     """Compare the pathwise integral of f with the increment F(b) - F(a).
 
-    First records difference-quotient checks at interior points, at their
-    own threshold ``derivative_eps`` (they may fail for violently
-    oscillating F; the experiment still runs).  Then integrates f under its
-    paired gauge family and reports exact deviation tails between the
-    integral and the increment, plus almost-sure equality at 10 tol.
+    First records difference-quotient checks at the midpoints of ten equal
+    cells, at their own threshold ``DERIVATIVE_EPS`` (they may fail for
+    violently oscillating F; the experiment still runs).  Then integrates f
+    under its paired gauge family and reports exact deviation tails between
+    the integral and the increment, plus almost-sure equality at 10 tol.
     Output is labeled exploratory throughout.
     """
     domain = Interval.coerce(domain)
     width = domain.width
     radius = width * 1e-3
     checks = []
-    for j in range(derivative_points):
-        t0 = domain.lower + width * (j + 0.5) / derivative_points
-        rep = derivative_in_probability_at(F, f, t0, derivative_eps, eta,
+    for j in range(10):
+        t0 = domain.lower + width * (j + 0.5) / 10
+        rep = derivative_in_probability_at(F, f, t0, DERIVATIVE_EPS, eta,
                                            radius=radius)
         checks.append((t0, rep.passed, rep.worst_tail))
 

@@ -418,6 +418,23 @@ class TestScenarioFiles:
         assert (code, out) == (1, "")
         assert err == f"gaugeprob: error: {name}: must be finite, got inf\n"
 
+    @pytest.mark.parametrize("domain, detail", [
+        ("[1, 0]", "interval requires lower < upper, got [1.0, 0.0]"),
+        ("[0.5, 0.5]", "interval requires lower < upper, got [0.5, 0.5]"),
+        ("[0, 1e400]", "interval endpoints must be finite"),
+        ("[0, Infinity]", "interval endpoints must be finite"),
+    ])
+    @pytest.mark.parametrize("command, catalog_id", [
+        ("integrate", "trig-mix"), ("integrate-prob", "linear-coeff")])
+    def test_invalid_domain_names_its_field(self, capsys, tmp_path, command,
+                                            catalog_id, domain, detail):
+        path = tmp_path / "scenario.json"
+        path.write_text(f'{{"catalog": "{catalog_id}", "domain": {domain}}}',
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, command, "--scenario", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"gaugeprob: error: scenario.domain: {detail}\n"
+
     @pytest.mark.parametrize("scenario, t0, radius", [
         ({"t0": 1e20}, "1e+20", "0.001"),
         ({"t0": 0.5, "grid_radius": 1e-20}, "0.5", "1e-20"),

@@ -32,7 +32,7 @@ from gaugeprob import (
     random_riemann_sum,
     riemann_sum_scalar,
 )
-from gaugeprob import random_functions, stochastic
+from gaugeprob import quadrature, random_functions, stochastic
 from gaugeprob.cli import main
 from gaugeprob.random_functions import values_matrix
 
@@ -163,32 +163,33 @@ class TestErrorContract:
                 g, unit, 1e-3, 1e-2, 1e-6)) == expected
 
     def test_separable_certificate_names_the_tag(self):
-        """integrate_separable certifies with the scalar sums where rank K
-        is unsafe, so a basis that is NaN only at tags the 0.45 split
-        reaches raises riemann_sum_scalar's error, which names the tag."""
+        """integrate_separable certifies with random_riemann_sum, so a basis
+        that is NaN only at tags the 0.45 split reaches raises the dense
+        sum's error, which names the tag and the outcome."""
         f = SeparableRandomFunction(
             coefficients=(rv(1.0, 2.0),),
             bases=(ScalarIntegrand(name="square", fn=square_on_grid),))
         message, tag, outcome = self.raised(lambda: integrate_separable(
             f, Interval(0.0, 1.0), 1e-6))
-        assert message == (
-            f"integrand returned a non-finite value at tag {tag!r}")
+        assert message == ("random function returned a non-finite value at "
+                           f"tag {tag!r}, outcome 0")
         assert tag * 1024 != math.floor(tag * 1024)
-        assert outcome is None
+        assert outcome == 0
 
 
 class TestRankKBlocks:
-    """A rank-K sum evaluates its bases in column blocks of at most
-    _BLOCK_CELLS cells and sums each row whole.  A NumPy ufunc gives the
-    same bits at any array length, so the sums, and the error of the dense
-    fallback, do not depend on the block size."""
+    """A rank-K sum and a scalar sum evaluate their integrands in column
+    blocks of at most quadrature._BLOCK_CELLS cells and sum each row whole.
+    A NumPy ufunc gives the same bits at any array length, so the sums, and
+    the errors, do not depend on the block size."""
 
     @staticmethod
     def outcome(call):
         try:
-            return call().values.tobytes()
+            result = call()
         except EvaluationError as exc:
             return str(exc), exc.tag, exc.outcome
+        return np.asarray(getattr(result, "values", result)).tobytes()
 
     @staticmethod
     def division():
@@ -198,12 +199,15 @@ class TestRankKBlocks:
         return d
 
     def assert_block_free(self, monkeypatch, f, division):
-        calls = (lambda: stochastic._separable_sums(f, division),
-                 lambda: random_riemann_sum(f, division))
+        """The outcomes of random_riemann_sum(f) and of riemann_sum_scalar
+        on each basis, which are the same in one block and in many."""
+        calls = [lambda: random_riemann_sum(f, division)] + [
+            lambda basis=basis: riemann_sum_scalar(basis, division)
+            for basis in f.bases]
         whole = [self.outcome(call) for call in calls]
         # One block above, about 300 tags per block below.
-        assert f.terms * division.pieces <= stochastic._BLOCK_CELLS
-        monkeypatch.setattr(stochastic, "_BLOCK_CELLS", 300 * f.terms)
+        assert f.terms * division.pieces <= quadrature._BLOCK_CELLS
+        monkeypatch.setattr(quadrature, "_BLOCK_CELLS", 300 * f.terms)
         assert [self.outcome(call) for call in calls] == whole
         return whole
 
@@ -226,8 +230,8 @@ class TestRankKBlocks:
         f = SeparableRandomFunction(
             coefficients=(rv(1.0, 2.0), rv(0.0, -1.0)),
             bases=(LINEAR, ScalarIntegrand(name="spike", fn=spike)))
-        separable, dense = self.assert_block_free(monkeypatch, f, division)
-        assert separable == (
+        dense, _, scalar = self.assert_block_free(monkeypatch, f, division)
+        assert scalar == (
             f"integrand returned a non-finite value at tag {bad!r}", bad, None)
         assert dense == ("random function returned a non-finite value at "
                          f"tag {bad!r}, outcome 0", bad, 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -162,6 +163,21 @@ class TestRiemannReduction:
         assert res.verified
         assert res.integral.values.tolist() == [0.0, 0.0]
         assert res.levels_used <= 1
+
+    @pytest.mark.parametrize("ident", ["linear-coeff", "trig-coeff"])
+    def test_is_pathwise_under_uniform_gauges(self, ident):
+        entry = catalog.random_entry(ident)
+        args = (entry.function, entry.domain, 1e-3, 1e-2, 1e-6)
+        riem = integrate_riemann_in_probability(*args)
+        path = integrate_pathwise(
+            *args, gauge_family=uniform_gauge_family(entry.domain))
+        assert (riem.method, path.method) == ("riemann", "pathwise")
+        assert riem.integral.space == path.integral.space
+        assert riem.integral.values.tobytes() == path.integral.values.tobytes()
+        for field in dataclasses.fields(path):
+            if field.name not in ("method", "integral"):
+                assert (getattr(riem, field.name)
+                        == getattr(path, field.name)), field.name
 
 
 class TestVerifyUniqueness:
