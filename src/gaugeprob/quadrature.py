@@ -61,7 +61,7 @@ def _evaluate(phi, tags: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(fn(tags), dtype=float), tags.shape)
 
 
-def _values_in_blocks(integrands, tags: np.ndarray) -> np.ndarray:
+def values_in_blocks(integrands, tags: np.ndarray) -> np.ndarray:
     """The len(integrands) x tags.size array of the integrands' values,
     filled in column blocks of at most _BLOCK_CELLS cells (at least one
     column), so an integrand's temporaries never span a whole division.
@@ -78,7 +78,7 @@ def _values_in_blocks(integrands, tags: np.ndarray) -> np.ndarray:
 
 def riemann_sum_scalar(phi, division: TaggedDivision) -> float:
     """sum phi(xi_i) (x_{i+1} - x_i) over the division's pieces."""
-    values = _values_in_blocks((phi,), division.tags)[0]
+    values = values_in_blocks((phi,), division.tags)[0]
     bad = ~np.isfinite(values)
     if bad.any():
         t_bad = float(division.tags[bad][0])

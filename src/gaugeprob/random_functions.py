@@ -22,7 +22,7 @@ import numpy as np
 from .errors import SpaceMismatchError
 from .gauges import GaugeFamily, intersect_families
 from .probability import DiscreteProbabilitySpace, RandomVariable
-from .quadrature import _BLOCK_CELLS, ScalarIntegrand, _values_in_blocks
+from .quadrature import _BLOCK_CELLS, ScalarIntegrand, values_in_blocks
 
 # Pathwise values are evaluated in column blocks, so no outcomes x tags
 # matrix is held whole.  About _BLOCK_CELLS (outcome, tag) cells are in
@@ -153,7 +153,7 @@ def as_pathwise(f: RandomFunction) -> PathwiseRandomFunction:
     coeffs = f.coefficient_matrix()  # outcomes x terms
 
     def matrix_evaluate(ts: np.ndarray) -> np.ndarray:
-        return coeffs @ _values_in_blocks(f.bases, ts)
+        return coeffs @ values_in_blocks(f.bases, ts)
 
     return _SeparableView(
         space=f.space,
@@ -236,7 +236,7 @@ def expectation_function(f: RandomFunction) -> ScalarIntegrand:
         means = np.array([float(weights @ c.values) for c in f.coefficients])
 
         def fn(ts: np.ndarray) -> np.ndarray:
-            return means @ _values_in_blocks(f.bases, ts)
+            return means @ values_in_blocks(f.bases, ts)
 
     else:
         def column_means(start, block):

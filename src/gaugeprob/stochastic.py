@@ -35,9 +35,9 @@ from .quadrature import (
     DEFAULT_MAX_LEVELS,
     LevelPass,
     Settle,
-    _values_in_blocks,
     kh_integrate,
     riemann_sum_scalar,
+    values_in_blocks,
 )
 from .random_functions import (
     RandomFunction,
@@ -117,7 +117,7 @@ def _rank_k_sums(f: SeparableRandomFunction,
     evaluated in column blocks into one K x n array, whose rows are then
     summed in one np.sum, as riemann_sum_scalar sums its one row."""
     widths = division.widths
-    basis_values = _values_in_blocks(f.bases, division.tags)
+    basis_values = values_in_blocks(f.bases, division.tags)
     coefficients = f.coefficient_matrix()
     with np.errstate(over="ignore", invalid="ignore"):
         reach = (np.abs(coefficients).max(axis=0)
