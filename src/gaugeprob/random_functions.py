@@ -24,13 +24,6 @@ from .gauges import GaugeFamily, intersect_families
 from .probability import DiscreteProbabilitySpace, RandomVariable
 from .quadrature import _BLOCK_CELLS, ScalarIntegrand, values_in_blocks
 
-# Pathwise values are evaluated in column blocks, so no outcomes x tags
-# matrix is held whole.  About _BLOCK_CELLS (outcome, tag) cells are in
-# flight: a separable view takes blocks of up to _BLOCK_CELLS cells one
-# after another, a genuine pathwise evaluator blocks of _BLOCK_CELLS // 2
-# cells on up to _WORKERS threads.  A block holds at least one column, so
-# with more outcomes than that it is one column.
-
 
 def _usable_cpus() -> int:
     try:
@@ -39,6 +32,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# Pathwise values are evaluated in column blocks, so no outcomes x tags
+# matrix is held whole.  About _BLOCK_CELLS (outcome, tag) cells are in
+# flight: a separable view takes blocks of up to _BLOCK_CELLS cells one
+# after another, a genuine pathwise evaluator blocks of _BLOCK_CELLS // 2
+# cells on up to _WORKERS threads.  A block holds at least one column, so
+# with more outcomes than that it is one column.
 _WORKERS = min(2, _usable_cpus())
 _pool = None  # created on the first parallel call
 
