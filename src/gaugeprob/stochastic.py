@@ -376,7 +376,7 @@ def _deviation_rows(x: RandomVariable, y: RandomVariable, eps: float,
     if eps <= floor:
         grid = [eps]
     else:
-        ratio = (floor / eps) ** (1.0 / 4)
+        ratio = (floor / eps) ** 0.25
         grid = [eps * ratio ** j for j in range(4)] + [floor]
     return tuple((e, deviation_probability(x, y, e)) for e in grid)
 
