@@ -241,16 +241,12 @@ def two_point_space() -> DiscreteProbabilitySpace:
     return DiscreteProbabilitySpace.uniform(("w1", "w2"))
 
 
-def _uniform_strategies(domain: Interval) -> tuple[GaugeFamily, GaugeFamily]:
-    return (uniform_gauge_family(domain),
-            scaled_uniform_family(domain, 2.0 / 3.0, "uniform-2/3"))
-
-
-def _dominator_from_bases(coefficients, bases) -> RandomVariable:
-    """A(omega) = max_k |C_k(omega)| * sum_k sup|phi_k|."""
+def _dominator_from_bases(coefficients, bases) -> RandomVariable | None:
+    """A(omega) = max_k |C_k(omega)| * sum_k sup|phi_k|; None when a basis
+    has no finite sup bound."""
     sups = [b.sup_abs for b in bases]
     if any(s is None for s in sups):
-        raise ValueError("all bases need a finite sup bound for a dominator")
+        return None
     total = math.fsum(sups)
     values = np.max(np.abs([c.values for c in coefficients]), axis=0) * total
     return RandomVariable(space=coefficients[0].space, values=values)
@@ -266,60 +262,48 @@ def _separable(coefficient_values, basis_ids, extra_bases=()) -> SeparableRandom
     return SeparableRandomFunction(coefficients=coefficients, bases=bases)
 
 
+def _random_entry(name, description, values, basis_ids,
+                  strategies=None) -> RandomEntry:
+    """A two-point separable entry on [0, 1]; the uniform strategies unless
+    others are given."""
+    f = _separable(values, basis_ids)
+    if strategies is None:
+        strategies = (uniform_gauge_family(UNIT),
+                      scaled_uniform_family(UNIT, 2.0 / 3.0, "uniform-2/3"))
+    return RandomEntry(
+        name=name, description=description, function=f, domain=UNIT,
+        strategies=strategies,
+        dominator=_dominator_from_bases(f.coefficients, f.bases))
+
+
 @lru_cache(maxsize=None)
 def _random_entries() -> dict[str, RandomEntry]:
-    entries = {}
-
-    f = _separable([(0.0, 0.0)], ["constant"])
-    entries["zero"] = RandomEntry(
-        name="zero", description="identically zero",
-        function=f, domain=UNIT, strategies=_uniform_strategies(UNIT),
-        dominator=_dominator_from_bases(f.coefficients, f.bases))
-
-    f = _separable([(1.0, 2.0)], ["linear"])
-    entries["linear-coeff"] = RandomEntry(
-        name="linear-coeff", description="C * t with C = (1, 2)",
-        function=f, domain=UNIT, strategies=_uniform_strategies(UNIT),
-        dominator=_dominator_from_bases(f.coefficients, f.bases))
-
-    f = _separable([(1.0, 1.0), (0.0, 3.0)], ["constant", "linear"])
-    entries["affine-pair"] = RandomEntry(
-        name="affine-pair", description="C1 * 1 + C2 * t",
-        function=f, domain=UNIT, strategies=_uniform_strategies(UNIT),
-        dominator=_dominator_from_bases(f.coefficients, f.bases))
-
-    f = _separable([(1.0, 2.0)], ["monomial2"])
-    entries["quadratic-coeff"] = RandomEntry(
-        name="quadratic-coeff", description="C * t^2",
-        function=f, domain=UNIT, strategies=_uniform_strategies(UNIT),
-        dominator=_dominator_from_bases(f.coefficients, f.bases))
-
-    f = _separable([(1.0, 2.0)], ["trig-mix"])
-    entries["trig-coeff"] = RandomEntry(
-        name="trig-coeff", description="C * (sin 3t + cos 2t)",
-        function=f, domain=UNIT, strategies=_uniform_strategies(UNIT),
-        dominator=_dominator_from_bases(f.coefficients, f.bases))
-
-    f = _separable([(1.0, 2.0)], ["osc-derivative"])
-    entries["osc-coeff"] = RandomEntry(
-        name="osc-coeff",
-        description="C * d/dt[t^2 sin(1/t^2)]; needs the singular family",
-        function=f, domain=UNIT,
-        strategies=(osc_singular_family(),
-                    osc_singular_family(c0=5e-4, name="osc-singular-fine")),
-        dominator=None)
-
-    f = _separable([(1.0, 2.0)], ["finite-indicator"])
-    entries["indicator-coeff"] = RandomEntry(
-        name="indicator-coeff",
-        description="C * indicator of the 100-point exceptional set",
-        function=f, domain=UNIT,
-        strategies=(indicator_pinch_family(),
-                    indicator_pinch_family(pinch=1e-12, base=0.2,
-                                           name="indicator-pinch-alt")),
-        dominator=_dominator_from_bases(f.coefficients, f.bases))
-
-    return entries
+    entries = (
+        _random_entry("zero", "identically zero", [(0.0, 0.0)], ["constant"]),
+        _random_entry("linear-coeff", "C * t with C = (1, 2)", [(1.0, 2.0)],
+                      ["linear"]),
+        _random_entry("affine-pair", "C1 * 1 + C2 * t",
+                      [(1.0, 1.0), (0.0, 3.0)], ["constant", "linear"]),
+        _random_entry("quadratic-coeff", "C * t^2", [(1.0, 2.0)],
+                      ["monomial2"]),
+        _random_entry("trig-coeff", "C * (sin 3t + cos 2t)", [(1.0, 2.0)],
+                      ["trig-mix"]),
+        _random_entry(
+            "osc-coeff",
+            "C * d/dt[t^2 sin(1/t^2)]; needs the singular family",
+            [(1.0, 2.0)], ["osc-derivative"],
+            strategies=(osc_singular_family(),
+                        osc_singular_family(c0=5e-4,
+                                            name="osc-singular-fine"))),
+        _random_entry(
+            "indicator-coeff",
+            "C * indicator of the 100-point exceptional set",
+            [(1.0, 2.0)], ["finite-indicator"],
+            strategies=(indicator_pinch_family(),
+                        indicator_pinch_family(pinch=1e-12, base=0.2,
+                                               name="indicator-pinch-alt"))),
+    )
+    return {entry.name: entry for entry in entries}
 
 
 def random_ids() -> tuple[str, ...]:

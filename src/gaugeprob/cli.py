@@ -32,6 +32,7 @@ from .sampling import check_distribution, sample_values
 from .schemas import (
     COMMANDS,
     build_report,
+    is_number,
     load_scenario_text,
     validate_scenario,
     write_report,
@@ -61,14 +62,20 @@ MAX_SAMPLED_OUTCOMES = 10_000_000
 # memory before any error.  Fixed, not a setting.
 MAX_GRID_POINTS = 10_000
 
-_DEFAULTS = {
-    "eps": 1e-3,
-    "eta": DEFAULT_ETA,
-    "tol": 1e-6,
-    "scalar_tol": 1e-9,
-    "levels": DEFAULT_MAX_LEVELS,
-    "table_levels": 10,
-    "derivative_eps": DERIVATIVE_EPS,
+# Each command's numeric settings, in the order they are resolved, with
+# their defaults.  Every one is reported in the report's parameters block.
+_IN_PROBABILITY = {"eps": 1e-3, "eta": DEFAULT_ETA, "tol": 1e-6,
+                   "levels": DEFAULT_MAX_LEVELS}
+_SETTINGS = {
+    "integrate": {"tol": 1e-9, "levels": DEFAULT_MAX_LEVELS},
+    "integrate-prob": _IN_PROBABILITY,
+    "riemann-prob": _IN_PROBABILITY,
+    "uniqueness": _IN_PROBABILITY,
+    "fubini": {"tol": _IN_PROBABILITY["tol"], "levels": DEFAULT_MAX_LEVELS},
+    "derivative": {"eps": DERIVATIVE_EPS, "eta": DEFAULT_ETA},
+    "ftc": _IN_PROBABILITY,
+    "convergence-table": {"levels": 10, "eps": _IN_PROBABILITY["eps"],
+                          "eta": DEFAULT_ETA},
 }
 
 
@@ -121,7 +128,7 @@ def _load_scenario(args: argparse.Namespace) -> dict:
 def _float(name: str, value) -> float:
     """A scenario number as a float; a value that is not a number, or an
     integer too large for a float, is an error that names its field."""
-    if not isinstance(value, (int, float)):
+    if not is_number(value):
         raise ScenarioError(f"{name}: expected a number, got {value!r}")
     try:
         return float(value)
@@ -150,13 +157,12 @@ def _positive(name: str, value) -> float:
     return value
 
 
-def _number(args: argparse.Namespace, scenario: dict, key: str, default=None):
-    """The flag, else the scenario's value, else ``_DEFAULTS[default or
-    key]``; ``levels`` is an integer, the others finite and positive."""
+def _setting(args: argparse.Namespace, scenario: dict, key: str, default):
+    """The flag, else the scenario's field, else ``default``; ``levels`` is
+    an integer, the others finite and positive."""
     value, name = getattr(args, key), f"--{key}"
     if value is None:
-        value, name = (scenario.get(key, _DEFAULTS[default or key]),
-                       f"scenario.{key}")
+        value, name = scenario.get(key, default), f"scenario.{key}"
     return int(value) if key == "levels" else _positive(name, value)
 
 
@@ -272,47 +278,29 @@ def _resolve_gauge(scenario: dict, integrand, domain: Interval) -> GaugeFamily:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: return (parameters, result, status)
+# command handlers: called with the command's settings as keywords; return
+# (extra parameters, result, status)
 
 
-def _run_integrate(args: argparse.Namespace, scenario: dict):
+def _run_integrate(args: argparse.Namespace, scenario: dict, tol, levels):
     if "catalog" not in scenario:
         raise ScenarioError("scenario.catalog: the integrate command needs a "
                             "scalar integrand id")
     integrand = catalog.scalar_integrand(scenario["catalog"])
     domain = _domain(scenario, integrand.domain)
-    tol = _number(args, scenario, "tol", "scalar_tol")
-    levels = _number(args, scenario, "levels")
     family = _resolve_gauge(scenario, integrand, domain)
     result = kh_integrate(integrand, domain, tol, gauge_family=family,
                           max_levels=levels)
-    parameters = {
-        "integrand": integrand.name,
-        "domain": [domain.lower, domain.upper],
-        "tol": tol,
-        "levels": levels,
-        "gauge": family.name,
-    }
+    extra = {"domain": domain, "integrand": integrand.name,
+             "gauge": family.name}
     status = "pass" if result.converged else "unverified"
-    return parameters, asdict(result), status
+    return extra, asdict(result), status
 
 
-def _stochastic_parameters(domain, eps, eta, tol, levels, gauge_name):
-    return {
-        "domain": [domain.lower, domain.upper],
-        "eps": eps, "eta": eta, "tol": tol, "levels": levels,
-        "gauge": gauge_name,
-    }
-
-
-def _run_integrate_prob(args: argparse.Namespace, scenario: dict,
-                        riemann=False):
+def _run_integrate_prob(args: argparse.Namespace, scenario: dict, eps, eta,
+                        tol, levels):
     function, domain, entry = _resolve_function(scenario, args.seed)
-    eps = _number(args, scenario, "eps")
-    eta = _number(args, scenario, "eta")
-    tol = _number(args, scenario, "tol")
-    levels = _number(args, scenario, "levels")
-    if riemann:
+    if args.command == "riemann-prob":
         result = integrate_riemann_in_probability(function, domain, eps, eta,
                                                   tol, max_levels=levels)
         gauge_name = "uniform"
@@ -321,18 +309,13 @@ def _run_integrate_prob(args: argparse.Namespace, scenario: dict,
         result = integrate_pathwise(function, domain, eps, eta, tol,
                                     gauge_family=family, max_levels=levels)
         gauge_name = family.name
-    parameters = _stochastic_parameters(domain, eps, eta, tol, levels,
-                                        gauge_name)
     status = "verified" if result.verified else "unverified"
-    return parameters, result.as_dict(), status
+    return {"domain": domain, "gauge": gauge_name}, result.as_dict(), status
 
 
-def _run_uniqueness(args: argparse.Namespace, scenario: dict):
+def _run_uniqueness(args: argparse.Namespace, scenario: dict, eps, eta, tol,
+                    levels):
     function, domain, entry = _resolve_function(scenario, args.seed)
-    eps = _number(args, scenario, "eps")
-    eta = _number(args, scenario, "eta")
-    tol = _number(args, scenario, "tol")
-    levels = _number(args, scenario, "levels")
     if "strategies" in scenario:
         ids = scenario["strategies"]
         if not (isinstance(ids, list) and len(ids) == 2):
@@ -345,15 +328,13 @@ def _run_uniqueness(args: argparse.Namespace, scenario: dict):
                       catalog.gauge_family("uniform-2/3", domain))
     report = verify_uniqueness(function, domain, strategies, eps, eta, tol,
                                max_levels=levels)
-    parameters = _stochastic_parameters(domain, eps, eta, tol, levels,
-                                        "+".join(report.strategy_names))
+    extra = {"domain": domain, "gauge": "+".join(report.strategy_names)}
     ok = report.conclusive and report.almost_surely_equal
-    return parameters, report.as_dict(), "pass" if ok else "fail"
+    return extra, report.as_dict(), "pass" if ok else "fail"
 
 
-def _run_fubini(args: argparse.Namespace, scenario: dict):
+def _run_fubini(args: argparse.Namespace, scenario: dict, tol, levels):
     function, domain, entry = _resolve_function(scenario, args.seed)
-    tol = _number(args, scenario, "tol")
     if "dominator" in scenario:
         spec = scenario["dominator"]
         if not (isinstance(spec, dict) and "values" in spec):
@@ -368,15 +349,9 @@ def _run_fubini(args: argparse.Namespace, scenario: dict):
     else:
         raise ScenarioError("scenario.dominator: missing and the entry ships "
                             "no dominating variable")
-    levels = _number(args, scenario, "levels")
     report = fubini_check(function, domain, dominator, tol, max_levels=levels)
-    parameters = {
-        "domain": [domain.lower, domain.upper],
-        "tol": tol,
-        "levels": levels,
-        "dominator": dominator.values.tolist(),
-    }
-    return parameters, report.as_dict(), "pass" if report.passed else "fail"
+    extra = {"domain": domain, "dominator": dominator.values.tolist()}
+    return extra, report.as_dict(), "pass" if report.passed else "fail"
 
 
 def _resolve_pair(scenario: dict, seed: int):
@@ -396,7 +371,7 @@ def _resolve_pair(scenario: dict, seed: int):
             _finite("scenario.t0", scenario.get("t0", 0.5)))
 
 
-def _run_derivative(args: argparse.Namespace, scenario: dict):
+def _run_derivative(args: argparse.Namespace, scenario: dict, eps, eta):
     radius = _finite("scenario.grid_radius", scenario.get("grid_radius", 1e-3))
     if radius == 0:
         raise ScenarioError("scenario.grid_radius: must be non-zero")
@@ -405,41 +380,26 @@ def _run_derivative(args: argparse.Namespace, scenario: dict):
         raise ScenarioError(f"scenario.grid_points: at most {MAX_GRID_POINTS} "
                             f"points, got {points}")
     F, f, domain, t0 = _resolve_pair(scenario, args.seed)
-    eps = _number(args, scenario, "eps", "derivative_eps")
-    eta = _number(args, scenario, "eta")
     grid = derivative_grid(t0, radius, points)
     if t0 in grid:
         raise ScenarioError(
             f"scenario.t0, scenario.grid_radius: a grid point rounds to t0 = "
             f"{t0!r}; grid_radius {radius!r} is too small for this t0")
     report = derivative_in_probability_at(F, f, t0, eps, eta, grid=grid)
-    parameters = {
-        "domain": [domain.lower, domain.upper],
-        "t0": t0, "eps": eps, "eta": eta,
-        "grid_radius": radius, "grid_points": points,
-    }
-    return parameters, report.as_dict(), "pass" if report.passed else "fail"
+    extra = {"domain": domain, "t0": t0, "grid_radius": radius,
+             "grid_points": points}
+    return extra, report.as_dict(), "pass" if report.passed else "fail"
 
 
-def _run_ftc(args: argparse.Namespace, scenario: dict):
+def _run_ftc(args: argparse.Namespace, scenario: dict, eps, eta, tol, levels):
     F, f, domain, _ = _resolve_pair(scenario, args.seed)
-    eps = _number(args, scenario, "eps")
-    eta = _number(args, scenario, "eta")
-    tol = _number(args, scenario, "tol")
-    levels = _number(args, scenario, "levels")
     report = ftc_experiment(F, f, domain, eps, eta, tol, max_levels=levels)
-    parameters = {
-        "domain": [domain.lower, domain.upper],
-        "eps": eps, "eta": eta, "tol": tol, "levels": levels,
-    }
     status = "pass" if report.integral_verified else "unverified"
-    return parameters, report.as_dict(), status
+    return {"domain": domain}, report.as_dict(), status
 
 
-def _run_convergence_table(args: argparse.Namespace, scenario: dict):
-    levels = _number(args, scenario, "levels", "table_levels")
-    eps = _number(args, scenario, "eps")
-    eta = _number(args, scenario, "eta")
+def _run_convergence_table(args: argparse.Namespace, scenario: dict, levels,
+                           eps, eta):
     identifier = scenario.get("catalog")
     if identifier is not None and identifier in catalog.scalar_ids():
         integrand = catalog.scalar_integrand(identifier)
@@ -449,7 +409,7 @@ def _run_convergence_table(args: argparse.Namespace, scenario: dict):
                  in kh_levels(integrand, domain, family, max_levels=levels)]
     else:
         function, domain, entry = _resolve_function(scenario, args.seed)
-        tol = _number(args, scenario, "tol")
+        tol = _setting(args, scenario, "tol", _IN_PROBABILITY["tol"])
         family = _resolve_gauge(scenario, function, domain)
         table = [(level, mesh, None, tail) for level, mesh, tail
                  in convergence_tails(function, domain, eps, tol,
@@ -457,17 +417,13 @@ def _run_convergence_table(args: argparse.Namespace, scenario: dict):
     rows = [{"level": level, "mesh_bound": mesh, "value": value,
              "worst_tail": tail, "eps": eps, "eta": eta}
             for level, mesh, value, tail in table]
-    parameters = {
-        "domain": [domain.lower, domain.upper],
-        "levels": levels, "eps": eps, "eta": eta, "gauge": family.name,
-    }
-    return parameters, {"rows": rows}, "table"
+    return {"domain": domain, "gauge": family.name}, {"rows": rows}, "table"
 
 
 _HANDLERS = {
     "integrate": _run_integrate,
-    "integrate-prob": lambda c, s: _run_integrate_prob(c, s, riemann=False),
-    "riemann-prob": lambda c, s: _run_integrate_prob(c, s, riemann=True),
+    "integrate-prob": _run_integrate_prob,
+    "riemann-prob": _run_integrate_prob,
     "uniqueness": _run_uniqueness,
     "fubini": _run_fubini,
     "derivative": _run_derivative,
@@ -481,7 +437,12 @@ def run(args: argparse.Namespace) -> tuple[int, dict]:
     if args.levels is not None and args.levels < 0:
         raise ScenarioError(f"--levels: must be >= 0, got {args.levels}")
     scenario = _load_scenario(args)
-    parameters, payload, status = _HANDLERS[args.command](args, scenario)
+    settings = {key: _setting(args, scenario, key, default)
+                for key, default in _SETTINGS[args.command].items()}
+    extra, payload, status = _HANDLERS[args.command](args, scenario,
+                                                     **settings)
+    domain = extra.pop("domain")
+    parameters = {**settings, "domain": [domain.lower, domain.upper], **extra}
     source = ({"catalog": args.catalog} if args.catalog is not None
               else {"scenario": str(args.scenario)})
     report = build_report(

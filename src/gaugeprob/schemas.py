@@ -160,6 +160,12 @@ def write_report(report: dict, stream: IO[str], fmt: str) -> None:
 # scenario validation
 
 
+def is_number(value) -> bool:
+    """An int or a float, not a bool: JSON ``true`` parses to ``True``, which
+    Python counts as the integer 1."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate_scenario(data: dict) -> dict:
     """Shallow structural validation; field semantics are checked on use."""
     if not isinstance(data, dict):
@@ -179,13 +185,14 @@ def validate_scenario(data: dict) -> dict:
     if "domain" in data:
         dom = data["domain"]
         if (not isinstance(dom, (list, tuple)) or len(dom) != 2
-                or not all(isinstance(x, (int, float)) for x in dom)):
+                or not all(is_number(x) for x in dom)):
             raise ScenarioError("scenario.domain: expected [lower, upper]")
     for key in ("eps", "eta", "tol", "t0", "grid_radius"):
-        if key in data and not isinstance(data[key], (int, float)):
+        if key in data and not is_number(data[key]):
             raise ScenarioError(f"scenario.{key}: expected a number")
     for key in ("levels", "grid_points"):
-        if key in data and not isinstance(data[key], int):
+        if key in data and not (is_number(data[key])
+                                and isinstance(data[key], int)):
             raise ScenarioError(f"scenario.{key}: expected an integer")
     for key, floor in (("levels", 0), ("grid_points", 2)):
         if data.get(key, floor) < floor:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from contextlib import closing
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -76,9 +76,7 @@ class CertificateRow:
     mesh_bound: float
 
     def as_dict(self) -> dict:
-        return {"eps": self.eps, "eta": self.eta,
-                "achieved_tail": self.achieved_tail,
-                "mesh_bound": self.mesh_bound}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -468,22 +466,7 @@ class FubiniReport:
     rhs_verified: bool | None
 
     def as_dict(self) -> dict:
-        return {
-            "hypothesis_ok": self.hypothesis_ok,
-            "violation_t": self.violation_t,
-            "violating_outcomes": list(self.violating_outcomes),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_difference": self.abs_difference,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "bound_ok": self.bound_ok,
-            "bound_margin": self.bound_margin,
-            "dominator_moment": self.dominator_moment,
-            "grid_points": self.grid_points,
-            "lhs_converged": self.lhs_converged,
-            "rhs_verified": self.rhs_verified,
-        }
+        return asdict(self)
 
 
 def _domination_violation(f: RandomFunction, ts: np.ndarray,
@@ -559,24 +542,25 @@ def fubini_check(f: RandomFunction, domain: Interval,
         levels = LevelPass(f, domain, None, 0, max_levels, both_sums)
         integral, failed = _settle(levels, tol)
         rhs_tags = levels.division.tags
-        rhs_violation = _domination_violation(f, rhs_tags, dominator)
         margins = np.abs(levels.sums.values) - dominator.values * domain.width
         margin = float(np.max(margins[f.space.weights > 0]))
         _, tails_ok = _certify(
             integral, levels, _pair_rows(1e-3, DEFAULT_ETA, tol),
             lambda division: random_riemann_sum(f, division))
-        rhs_side = expectation(integral), tails_ok and not failed
+        rhs = expectation(integral)
         levels.sum_over = mean_sum
         while not mean.done and levels.advance():
             pass
         lhs, lhs_converged = float(mean.values[0]), mean.done
-        violation = _domination_violation(f, mean_tags, dominator)
-        checked_points += mean_tags.size
-
-    if violation is None:
-        (rhs, rhs_verified), violation = rhs_side, rhs_violation
-        checked_points += rhs_tags.size
-        if violation is None:
+        # The mean path's tags, then the right-hand side's; rhs_verified is
+        # reported once the mean path's tags hold.
+        for tags in (mean_tags, rhs_tags):
+            violation = _domination_violation(f, tags, dominator)
+            checked_points += tags.size
+            if violation is not None:
+                break
+            rhs_verified = tails_ok and not failed
+        else:
             bound_margin, bound_ok = margin, bool(margin <= 0.0)
 
     hypothesis_ok = violation is None

@@ -373,6 +373,26 @@ class TestScenarioFiles:
          "scenario.gauge.constant: expected a number, got 'x'"),
         ("integrate", {"catalog": "linear", "gauge": {"constant": None}},
          "scenario.gauge.constant: expected a number, got None"),
+        # JSON true and false are not numbers.
+        ("integrate", {"catalog": "trig-mix", "gauge": {"constant": True}},
+         "scenario.gauge.constant: expected a number, got True\n"),
+        ("integrate-prob", {"catalog": "linear-coeff", "eps": True},
+         "scenario.eps: expected a number\n"),
+        ("integrate-prob", {"catalog": "linear-coeff", "eta": False},
+         "scenario.eta: expected a number\n"),
+        ("integrate-prob", {"catalog": "linear-coeff", "tol": True},
+         "scenario.tol: expected a number\n"),
+        ("integrate-prob", {"catalog": "linear-coeff", "levels": True},
+         "scenario.levels: expected an integer\n"),
+        ("integrate-prob", {"catalog": "linear-coeff",
+                            "domain": [False, True]},
+         "scenario.domain: expected [lower, upper]\n"),
+        ("derivative", {"catalog": "ftc-quadratic", "t0": True},
+         "scenario.t0: expected a number\n"),
+        ("derivative", {"catalog": "ftc-quadratic", "grid_radius": True},
+         "scenario.grid_radius: expected a number\n"),
+        ("derivative", {"catalog": "ftc-quadratic", "grid_points": True},
+         "scenario.grid_points: expected an integer\n"),
     ])
     def test_wrong_json_type_is_named_alone(self, capsys, tmp_path, command,
                                             scenario, detail):
@@ -605,6 +625,60 @@ class TestOutputHandling:
         assert set(report) == {"schema", "command", "source", "seed",
                                "parameters", "status", "generated_at",
                                "result"}
+
+
+# The parameters block of each command on a catalog id with no flags.
+DEFAULT_PARAMETERS = {
+    ("integrate", "monomial2"): {
+        "integrand": "monomial2", "domain": [0.0, 1.0], "tol": 1e-9,
+        "levels": 40, "gauge": "uniform"},
+    ("integrate-prob", "linear-coeff"): {
+        "domain": [0.0, 1.0], "eps": 1e-3, "eta": 1e-2, "tol": 1e-6,
+        "levels": 40, "gauge": "uniform"},
+    ("riemann-prob", "linear-coeff"): {
+        "domain": [0.0, 1.0], "eps": 1e-3, "eta": 1e-2, "tol": 1e-6,
+        "levels": 40, "gauge": "uniform"},
+    ("uniqueness", "linear-coeff"): {
+        "domain": [0.0, 1.0], "eps": 1e-3, "eta": 1e-2, "tol": 1e-6,
+        "levels": 40, "gauge": "uniform+uniform-2/3"},
+    ("fubini", "linear-coeff"): {
+        "domain": [0.0, 1.0], "tol": 1e-6, "levels": 40,
+        "dominator": [1.0, 2.0]},
+    ("derivative", "ftc-quadratic"): {
+        "domain": [0.0, 1.0], "t0": 0.5, "eps": 1e-2, "eta": 1e-2,
+        "grid_radius": 1e-3, "grid_points": 16},
+    ("ftc", "ftc-quadratic"): {
+        "domain": [0.0, 1.0], "eps": 1e-3, "eta": 1e-2, "tol": 1e-6,
+        "levels": 40},
+    ("convergence-table", "linear-coeff"): {
+        "domain": [0.0, 1.0], "levels": 10, "eps": 1e-3, "eta": 1e-2,
+        "gauge": "uniform"},
+}
+
+
+class TestParameters:
+    @pytest.mark.parametrize("command, catalog_id", sorted(DEFAULT_PARAMETERS))
+    def test_defaults(self, capsys, command, catalog_id):
+        code, report = run_json(capsys, command, "--catalog", catalog_id)
+        assert code == 0
+        expected = DEFAULT_PARAMETERS[command, catalog_id]
+        assert report["parameters"] == expected
+        assert ([type(report["parameters"][k]) for k in expected]
+                == [type(v) for v in expected.values()])
+
+    @pytest.mark.parametrize("key, field, flag", [
+        ("eps", 2e-3, 3e-3), ("eta", 2e-2, 3e-2), ("tol", 1e-7, 1e-8),
+        ("levels", 12, 13)])
+    def test_flag_beats_field_beats_default(self, capsys, tmp_path, key,
+                                            field, flag):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"catalog": "linear-coeff", key: field}),
+                        encoding="utf-8")
+        argv = ["integrate-prob", "--scenario", str(path)]
+        _, report = run_json(capsys, *argv)
+        assert report["parameters"][key] == field
+        _, report = run_json(capsys, *argv, f"--{key}", str(flag))
+        assert report["parameters"][key] == flag
 
 
 class TestSchemaValidation:
