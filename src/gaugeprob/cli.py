@@ -136,6 +136,18 @@ def _float(name: str, value) -> float:
         raise ScenarioError(f"{name}: {exc}") from None
 
 
+def _numbers(name: str, values):
+    """``values`` unchanged, once no entry of a list is a JSON boolean, which
+    NumPy would take as 0 or 1.  Other entries that are not numbers are
+    refused where NumPy converts them, in its own words."""
+    if isinstance(values, list):
+        for index, value in enumerate(values):
+            if isinstance(value, bool):
+                raise ScenarioError(
+                    f"{name}[{index}]: expected a number, got {value!r}")
+    return values
+
+
 def _finite(name: str, value) -> float:
     value = _float(name, value)
     if not math.isfinite(value):
@@ -193,6 +205,7 @@ def _resolve_space(data) -> DiscreteProbabilitySpace:
     for key in ("outcomes", "weights"):
         if key not in data:
             raise ScenarioError(f"scenario.space.{key}: missing")
+    _numbers("scenario.space.weights", data["weights"])
     try:
         return DiscreteProbabilitySpace.from_dict(data)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -218,6 +231,7 @@ def _resolve_coefficient(term, index: int, space, seed: int) -> RandomVariable:
                 raise ScenarioError(f"{where}.values: {exc}") from None
         if not isinstance(values, list):
             raise ScenarioError(f"{where}.values: expected a list or a sample spec")
+        _numbers(f"{where}.values", values)
         try:
             return RandomVariable(space=space, values=values)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -339,9 +353,9 @@ def _run_fubini(args: argparse.Namespace, scenario: dict, tol, levels):
         spec = scenario["dominator"]
         if not (isinstance(spec, dict) and "values" in spec):
             raise ScenarioError("scenario.dominator: expected {'values': [...]}")
+        values = _numbers("scenario.dominator.values", spec["values"])
         try:
-            dominator = RandomVariable(space=function.space,
-                                       values=spec["values"])
+            dominator = RandomVariable(space=function.space, values=values)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"scenario.dominator.values: {exc}") from None
     elif entry is not None and entry.dominator is not None:

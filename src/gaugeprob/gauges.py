@@ -55,6 +55,8 @@ class Gauge:
     ``width`` maps an ndarray of points to the pair (alpha, beta); a result
     that broadcasts to the points' shape, such as a constant, is accepted.
     The evaluator must be pure: the same t always yields the same pair.
+    Up to two threads call it at once, on disjoint arrays of points, so it
+    must also be thread-safe (see ``cousin_partition``).
     """
 
     width: Width

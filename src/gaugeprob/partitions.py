@@ -9,6 +9,8 @@ sits strictly inside the open gauge interval of its own tag.
 from __future__ import annotations
 
 import logging
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +29,93 @@ DEFAULT_MAX_DEPTH = 60
 # hold, so fail cleanly instead of thrashing.
 DEFAULT_MAX_PIECES = 20_000_000
 
+# A division expected to hold at least this many pieces is built as _GROUPS
+# ordered groups of subtrees, drained on the pool below.  A build from the
+# domain expands its tree serially to depth _FRONTIER_DEPTH first, and
+# estimates each open node's pieces there; a refinement counts its parent's.
+_GROUP_PIECES = 1 << 17
+_GROUPS = 8
+_FRONTIER_DEPTH = 12
+
 log = logging.getLogger("gaugeprob")
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+# One pool of _WORKERS threads, created on first use, serves bisection
+# groups, integrand blocks and pathwise column blocks.  Work running on a
+# pool thread hands nothing to the pool, so no pool thread waits on another.
+_WORKERS = min(2, _usable_cpus())
+_pool = None
+_pool_thread = threading.local()
+
+
+def _forget_pool() -> None:
+    # A forked child has none of the pool's threads; it makes its own.
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _mark_pool_thread() -> None:
+    _pool_thread.marked = True
+
+
+def _pool_workers() -> int:
+    """The threads a call may keep busy: _WORKERS, or 1 on a pool thread."""
+    return 1 if getattr(_pool_thread, "marked", False) else _WORKERS
+
+
+def _executor():
+    global _pool
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = ThreadPoolExecutor(_WORKERS,
+                                   thread_name_prefix="gaugeprob-blocks",
+                                   initializer=_mark_pool_thread)
+    return _pool
+
+
+def _run_shared(task, count: int) -> list:
+    """[task(0), ..., task(count - 1)], each called once, on the calling
+    thread and up to _pool_workers() - 1 pool threads, each thread taking
+    the next index as it comes free.  Once one call raises, no thread takes
+    another index; when every call begun has ended, the exception of the
+    lowest index that raised is raised here."""
+    results, errors, ended = [None] * count, {}, []
+    indices, lock = iter(range(count)), threading.Lock()
+
+    def loop():
+        while True:
+            with lock:
+                index = None if errors or ended else next(indices, None)
+            if index is None:
+                return
+            try:
+                results[index] = task(index)
+            except Exception as exc:
+                with lock:
+                    errors[index] = exc
+
+    helpers = [_executor().submit(loop)
+               for _ in range(min(_pool_workers(), count) - 1)]
+    try:
+        loop()
+    finally:
+        ended.append(True)
+        from concurrent.futures import wait
+        wait([helper for helper in helpers if not helper.cancel()])
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,50 +306,101 @@ def cousin_partition(gauge: Gauge, domain: Interval,
     offending point in the order this kernel evaluates points.  One DEBUG
     record per division on the ``gaugeprob`` logger gives its pieces,
     deepest bisection and gauge points.
+
+    With two pool threads (see ``_WORKERS``), a division expected to hold
+    ``_GROUP_PIECES`` pieces or more is drained as ``_GROUPS`` ordered
+    groups of subtrees, by the calling thread and a pool thread at once, so
+    the gauge's width function runs on two threads (see ``Gauge``).  A
+    refinement cuts its parent's leaves into groups of equal count, each
+    evaluating its own leaves' points; a build from the domain bisects
+    serially to depth ``_FRONTIER_DEPTH``, then cuts the subintervals still
+    open into groups of about equal estimated pieces, width over
+    min(alpha, beta) at the midpoint.  Each group sorts its own pieces, and
+    the groups' pieces in domain order are the serial build's division:
+    points, tags and depths.  If any group raises, or the groups' nodes
+    together pass ``max_pieces``, the groups are dropped: a build from the
+    domain goes on serially from its frontier, and a refinement is rebuilt
+    serially from the domain.  So every error, its text and its ``t`` are
+    the serial build's, and no result depends on the CPU count.  The DEBUG
+    record counts every group's gauge points.
     """
     domain = Interval.coerce(domain)
     if not 0.0 < split < 1.0:
         raise ValueError(f"split must be in (0, 1), got {split}")
+    grouped = _pool_workers() > 1
     if parent is not None:
         if parent.depths is None:
             raise ValueError("a parent division must come from cousin_partition")
         if parent.domain != domain:
             raise ValueError(f"parent divides {parent.domain}, not {domain}")
         try:
-            return _bisect(gauge, domain, max_depth, split, max_pieces, parent)
+            if grouped and parent.pieces >= _GROUP_PIECES:
+                division = _refine_in_groups(gauge, max_depth, split,
+                                             max_pieces, parent)
+            else:
+                division = _bisect(gauge, domain, max_depth, split,
+                                   max_pieces, parent)
         except Exception:
-            # Any error, the width function's own included: the refinement
-            # visited a subset of the rebuild's nodes and points, and the
-            # ceiling counts as many nodes, so the rebuild below raises too,
-            # and raises what it always has.
-            pass
-    return _bisect(gauge, domain, max_depth, split, max_pieces, None)
+            division = None
+        if division is not None:
+            return division
+        # Any error, the width function's own included: the refinement
+        # visited a subset of the rebuild's nodes and points, and the
+        # ceiling counts as many nodes, so the rebuild below raises too,
+        # and raises what it always has.
+        grouped = False
+    return _bisect(gauge, domain, max_depth, split, max_pieces, None, grouped)
 
 
-def _bisect(gauge: Gauge, domain: Interval, max_depth: int, split: float,
-            max_pieces: int, parent: TaggedDivision | None) -> TaggedDivision:
-    # A worklist entry is (u, v, ru, rv, rank, depth, cuts_pending).  A
-    # piece [u, v] fits gamma(u) iff v < ru, and gamma(v) iff rv < u.  The
-    # rank orders one block's entries as the left-halves-first worklist
-    # would; bit d - 1 set means "right half at depth d", so it needs
-    # max_depth + 1 bits.  A freshly split block holds halves in pairs
-    # [u, c], [c, v] whose shared cut c has not been evaluated yet: its
-    # reaches fill ru[1::2] and rv[0::2] when the block is taken.
-    rank_type = np.uint64 if max_depth < 64 else object
-    if parent is None:  # one leaf: the domain at depth 0
-        points = np.array([domain.lower, domain.upper])
-        depths = np.zeros(1, dtype=np.uint8)
-    else:
-        points, depths = parent.points, parent.depths
-    total = depths.size - 1  # the tree's inner nodes so far
-    depth_type = np.min_scalar_type(max(max_depth, 0))
-    acc_left: list[np.ndarray] = []
-    acc_tag: list[np.ndarray] = []
-    acc_depth: list[np.ndarray] = []
-    evaluated = deepest = 0
+class _Abandoned(Exception):
+    """Raised in a group once another group of the same build has failed."""
 
-    for stack, seeded in _seeds(gauge, points, depths, rank_type):
-        evaluated += seeded
+
+class _Nodes:
+    """The bisection nodes one build has visited, against ``max_pieces``;
+    the groups of a build share one."""
+
+    def __init__(self, count: int, ceiling: int):
+        self.count, self.ceiling, self.abandoned = count, ceiling, False
+        self.lock = threading.Lock()
+
+    def charge(self, nodes: int) -> None:
+        with self.lock:
+            self.count += nodes
+            over = self.count > self.ceiling
+        if self.abandoned:
+            raise _Abandoned
+        if over:
+            raise PartitionDepthError(
+                f"gauge demands more than {self.ceiling} pieces; "
+                "refine less aggressively or supply a coarser gauge family"
+            )
+
+
+class _Tree:
+    """The drain of one bisection worklist: its accepted pieces, the gauge
+    points it evaluated and its deepest bisection."""
+
+    def __init__(self, gauge: Gauge, max_depth: int, split: float,
+                 nodes: _Nodes):
+        self.gauge, self.max_depth, self.split, self.nodes = (
+            gauge, max_depth, split, nodes)
+        self.lefts, self.tags, self.depths = [], [], []
+        self.evaluated = self.deepest = 0
+        self.depth_type = np.min_scalar_type(max(max_depth, 0))
+        # Depth after whose block drain() stops, when that block's halves
+        # are all that is left open; they wait in ``open``.
+        self.frontier, self.open = -1, None
+
+    def drain(self, stack: list) -> None:
+        # A worklist entry is (u, v, ru, rv, rank, depth, cuts_pending).  A
+        # piece [u, v] fits gamma(u) iff v < ru, and gamma(v) iff rv < u.
+        # The rank orders one block's entries as the left-halves-first
+        # worklist would; bit d - 1 set means "right half at depth d", so it
+        # needs max_depth + 1 bits.  A freshly split block holds halves in
+        # pairs [u, c], [c, v] whose shared cut c has not been evaluated yet:
+        # its reaches fill ru[1::2] and rv[0::2] when the block is taken.
+        gauge, max_depth = self.gauge, self.max_depth
         while stack:
             u, v, ru, rv, rank, depth, pending = stack.pop()
             if depth > max_depth:
@@ -276,14 +415,14 @@ def _bisect(gauge: Gauge, domain: Interval, max_depth: int, split: float,
                 # half and the lowest-ranked right halves.
                 cut = v[0::2]
                 rv[0::2], ru[1::2] = _end_reaches(cut, *_gamma(gauge, cut))
-                evaluated += cut.size
+                self.evaluated += cut.size
                 k = _BLOCK - cut.size
                 first = rank < np.partition(rank[1::2], k)[k]
                 for pick in (first, ~first):
                     stack.append((*_take(np.flatnonzero(pick), u, v, ru, rv,
                                          rank), depth, False))
                 continue
-            deepest = max(deepest, depth)
+            self.deepest = max(self.deepest, depth)
             mid = 0.5 * (u + v)
             if pending:
                 cut = v[0::2]
@@ -291,10 +430,10 @@ def _bisect(gauge: Gauge, domain: Interval, max_depth: int, split: float,
                 rv[0::2], ru[1::2] = _end_reaches(cut, lo[:cut.size],
                                                   hi[:cut.size])
                 lo, hi = lo[cut.size:], hi[cut.size:]
-                evaluated += cut.size
+                self.evaluated += cut.size
             else:
                 lo, hi = _gamma(gauge, mid)
-            evaluated += mid.size
+            self.evaluated += mid.size
             ok_u = v < ru
             ok_mid = (lo < u) & (v < hi)
             accepted = ok_u | ok_mid | (rv < u)
@@ -302,26 +441,145 @@ def _bisect(gauge: Gauge, domain: Interval, max_depth: int, split: float,
             if keep.size:
                 tag = np.where(ok_mid, mid, v)
                 np.copyto(tag, u, where=ok_u)
-                acc_left.append(u.take(keep))
-                acc_tag.append(tag.take(keep))
-                acc_depth.append(np.full(keep.size, depth, dtype=depth_type))
-            total += int(u.size)
-            if total > max_pieces:
-                raise PartitionDepthError(
-                    f"gauge demands more than {max_pieces} pieces; "
-                    "refine less aggressively or supply a coarser gauge family"
-                )
+                self.lefts.append(u.take(keep))
+                self.tags.append(tag.take(keep))
+                self.depths.append(np.full(keep.size, depth,
+                                           dtype=self.depth_type))
+            self.nodes.charge(int(u.size))
             again = np.flatnonzero(~accepted)
             if again.size:
-                stack.append(_halves(*_take(again, u, v, ru, rv, rank), depth,
-                                     split))
+                halves = _halves(*_take(again, u, v, ru, rv, rank), depth,
+                                 self.split)
+                if depth == self.frontier and not stack:
+                    # Each open node's pieces, estimated as its width over
+                    # min(alpha, beta) at its midpoint.
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        estimate = (v - u).take(again) / np.minimum(
+                            mid - lo, hi - mid).take(again)
+                    self.open = halves, estimate
+                    return
+                stack.append(halves)
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The accepted pieces' lefts, tags and depths, in the order found."""
+        return (np.concatenate([*self.lefts, np.empty(0)]),
+                np.concatenate([*self.tags, np.empty(0)]),
+                np.concatenate([*self.depths, np.empty(0, self.depth_type)]))
+
+    def pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The columns sorted by left (the lefts are distinct wherever the
+        division is valid); the tree lets go of its own lists."""
+        lefts, tags, depths = self.columns()
+        self.lefts = self.tags = self.depths = None
+        order = np.argsort(lefts, kind="stable")
+        return lefts.take(order), tags.take(order), depths.take(order)
+
+
+def _bisect(gauge: Gauge, domain: Interval, max_depth: int, split: float,
+            max_pieces: int, parent: TaggedDivision | None,
+            grouped: bool = False) -> TaggedDivision:
+    rank_type = np.uint64 if max_depth < 64 else object
+    if parent is None:  # one leaf: the domain at depth 0
+        points = np.array([domain.lower, domain.upper])
+        depths = np.zeros(1, dtype=np.uint8)
+    else:
+        points, depths = parent.points, parent.depths
+    # The tree's inner nodes so far are charged first.
+    tree = _Tree(gauge, max_depth, split, _Nodes(depths.size - 1, max_pieces))
+    if grouped:
+        tree.frontier = _FRONTIER_DEPTH
+    for stack, seeded in _seeds(gauge, points, depths, rank_type):
+        tree.evaluated += seeded
+        tree.drain(stack)
+        if tree.open is not None:  # from the domain, so the only batch
+            division = _frontier_in_groups(tree, domain.upper)
+            if division is not None:
+                return division
+            stack, tree.frontier, tree.open = [tree.open[0]], -1, None
+            tree.drain(stack)
 
     # The accepted pieces tile the domain, so the last one ends at its upper
-    # end; the lefts are distinct wherever the division is valid.
-    lefts = np.concatenate(acc_left)
-    order = np.argsort(lefts, kind="stable")
-    tags = np.concatenate(acc_tag)[order]
+    # end.
+    lefts, tags, depths = tree.pieces()
+    log.debug("division: %d pieces, deepest bisection %d, %d gauge points",
+              tags.size, tree.deepest, tree.evaluated)
+    return TaggedDivision(points=np.append(lefts, domain.upper),
+                          tags=tags, depths=depths)
+
+
+def _frontier_in_groups(tree: _Tree, upper: float) -> TaggedDivision | None:
+    """The division that draining ``tree``'s open halves would finish,
+    drained in groups of about equal estimated pieces, each group with the
+    tree's pieces that lie in its span; None, and the tree as it was, when
+    the estimate is below _GROUP_PIECES or a group fails."""
+    halves, estimate = tree.open
+    total = np.cumsum(estimate)
+    if not total[-1] >= _GROUP_PIECES:  # NaN too
+        return None
+    # Group ends, counted in open nodes; node i's halves are entries 2i, 2i+1.
+    ends = np.searchsorted(total, total[-1] * np.arange(1, _GROUPS) / _GROUPS
+                           ) + 1
+    ends = np.unique(np.append(ends[ends < estimate.size], estimate.size))
+    starts = np.append(0, ends[:-1])
+    lefts, tags, depths = tree.columns()
+    owner = np.searchsorted(halves[0].take(2 * starts[1:]), lefts, side="right")
+    nodes = _Nodes(tree.nodes.count, tree.nodes.ceiling)
+    groups = []
+    for index, (start, end) in enumerate(zip(2 * starts, 2 * ends)):
+        group = _Tree(tree.gauge, tree.max_depth, tree.split, nodes)
+        mine = owner == index
+        group.lefts, group.tags, group.depths = ([lefts[mine]], [tags[mine]],
+                                                 [depths[mine]])
+        entry = (*(a[start:end].copy() for a in halves[:5]), *halves[5:])
+        groups.append((group, [([entry], 0)]))
+    return _in_groups(groups, nodes, upper, tree.evaluated, tree.deepest)
+
+
+def _refine_in_groups(gauge: Gauge, max_depth: int, split: float,
+                      max_pieces: int, parent: TaggedDivision
+                      ) -> TaggedDivision | None:
+    """The refinement of ``parent``, its leaves cut into groups of equal
+    count that each seed and drain their own; None when a group fails."""
+    rank_type = np.uint64 if max_depth < 64 else object
+    nodes = _Nodes(parent.pieces - 1, max_pieces)
+    bounds = np.arange(_GROUPS + 1) * parent.pieces // _GROUPS
+    groups = [(_Tree(gauge, max_depth, split, nodes),
+               _seeds(gauge, parent.points[start:end + 1],
+                      parent.depths[start:end], rank_type))
+              for start, end in zip(bounds[:-1], bounds[1:]) if end > start]
+    return _in_groups(groups, nodes, parent.domain.upper)
+
+
+def _in_groups(groups, nodes: _Nodes, upper: float, evaluated: int = 0,
+               deepest: int = 0) -> TaggedDivision | None:
+    """The division whose pieces are those of ``groups``, (tree, batches)
+    pairs in domain order whose tree drains each of its batches, (stack,
+    gauge points seeded) pairs, on the pool; None when a group raises or
+    ``nodes`` passes its ceiling, which stops the other groups."""
+    def drain(index):
+        tree, batches = groups[index]
+        try:
+            for stack, seeded in batches:
+                tree.evaluated += seeded
+                tree.drain(stack)
+        except Exception:
+            nodes.abandoned = True
+            raise
+        return tree.pieces()
+
+    try:
+        parts = _run_shared(drain, len(groups))
+    except Exception:
+        return None
+    evaluated += sum(tree.evaluated for tree, _ in groups)
+    deepest = max(deepest, *(tree.deepest for tree, _ in groups))
+    # Each group's columns are copied into the division's and let go of
+    # one column at a time; no sort spans the whole division.
+    lefts, tags, depths = (list(column) for column in zip(*parts))
+    del parts
+    points = np.concatenate([*lefts, [upper]])
+    del lefts
+    tags, depths = np.concatenate(tags), np.concatenate(depths)
     log.debug("division: %d pieces, deepest bisection %d, %d gauge points",
               tags.size, deepest, evaluated)
-    return TaggedDivision(points=np.append(lefts[order], domain.upper),
-                          tags=tags, depths=np.concatenate(acc_depth)[order])
+    return TaggedDivision(points=points, tags=tags, depths=depths)

@@ -17,13 +17,15 @@ import numpy as np
 
 from .errors import EvaluationError
 from .gauges import GaugeFamily, Interval, uniform_gauge_family
-from .partitions import TaggedDivision, cousin_partition
+from .partitions import (TaggedDivision, _pool_workers, _run_shared,
+                         cousin_partition)
 
 DEFAULT_MAX_LEVELS = 40
 
 # Integrands, and the pathwise values of random functions, are evaluated in
 # column blocks of about this many (row, tag) cells, so no temporary spans
-# a whole multi-million-piece division.
+# a whole multi-million-piece division.  Integrand blocks evaluated on the
+# pool's threads hold a quarter of it each.
 _BLOCK_CELLS = 1 << 20
 
 log = logging.getLogger("gaugeprob")
@@ -34,7 +36,9 @@ class ScalarIntegrand:
     """A named real function of one variable with optional extras.
 
     ``fn`` maps an ndarray of tags to their values; a result that
-    broadcasts to the tags' shape, such as a constant, is accepted.
+    broadcasts to the tags' shape, such as a constant, is accepted.  Up to
+    two threads call it at once, on disjoint arrays of tags, so it must be
+    pure and thread-safe.
     ``gauge_family`` pairs the integrand with the gauge schedule that
     integrates it (needed for integrands that no constant-width family can
     handle).  ``sup_abs`` is an upper bound for |fn| on ``domain`` when one
@@ -65,14 +69,30 @@ def values_in_blocks(integrands, tags: np.ndarray) -> np.ndarray:
     """The len(integrands) x tags.size array of the integrands' values,
     filled in column blocks of at most _BLOCK_CELLS cells (at least one
     column), so an integrand's temporaries never span a whole division.
-    A NumPy ufunc gives the same bits at any array length."""
+    Tags that fill more than one such block, given two pool threads, are
+    filled in blocks of _BLOCK_CELLS // 4 cells by the calling thread and a
+    pool thread, each taking the next block as it comes free; an error is
+    the one the lowest block raising it raised.  A NumPy ufunc gives the
+    same bits at any array length, so the values never depend on the
+    route."""
     tags = np.asarray(tags, dtype=float)
     values = np.empty((len(integrands), tags.size))
     step = max(1, _BLOCK_CELLS // len(integrands))
-    for start in range(0, tags.size, step):
-        block = tags[start:start + step]
+    shared = tags.size > step and _pool_workers() > 1
+    if shared:
+        step = max(1, _BLOCK_CELLS // 4 // len(integrands))
+    starts = range(0, tags.size, step)
+
+    def fill(index):
+        block = slice(starts[index], starts[index] + step)
         for row, phi in zip(values, integrands):
-            row[start:start + step] = _evaluate(phi, block)
+            row[block] = _evaluate(phi, tags[block])
+
+    if shared:
+        _run_shared(fill, len(starts))
+    else:
+        for index in range(len(starts)):
+            fill(index)
     return values
 
 

@@ -12,7 +12,6 @@ Two concrete forms:
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import InitVar, dataclass
 from typing import Callable, Union
@@ -22,34 +21,16 @@ import numpy as np
 from .errors import SpaceMismatchError
 from .gauges import GaugeFamily, intersect_families
 from .probability import DiscreteProbabilitySpace, RandomVariable
+from .partitions import _executor, _pool_workers
 from .quadrature import _BLOCK_CELLS, ScalarIntegrand, values_in_blocks
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
 
 # Pathwise values are evaluated in column blocks, so no outcomes x tags
 # matrix is held whole.  About _BLOCK_CELLS (outcome, tag) cells are in
 # flight: a separable view takes blocks of up to _BLOCK_CELLS cells one
 # after another, a genuine pathwise evaluator blocks of _BLOCK_CELLS // 2
-# cells on up to _WORKERS threads.  A block holds at least one column, so
-# with more outcomes than that it is one column.
-_WORKERS = min(2, _usable_cpus())
-_pool = None  # created on the first parallel call
-
-
-def _forget_pool() -> None:
-    # A forked child has none of the pool's threads; it makes its own.
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+# cells on up to _WORKERS threads of the pool that ``partitions`` keeps.  A
+# block holds at least one column, so with more outcomes than that it is
+# one column.
 
 
 @dataclass(frozen=True)
@@ -170,15 +151,6 @@ def values_matrix(f: PathwiseRandomFunction, ts: np.ndarray) -> np.ndarray:
         return np.asarray(f.matrix_evaluate(ts), dtype=float)
 
 
-def _executor():
-    global _pool
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-        _pool = ThreadPoolExecutor(_WORKERS,
-                                   thread_name_prefix="gaugeprob-blocks")
-    return _pool
-
-
 def map_blocks(f: PathwiseRandomFunction, ts: np.ndarray, work):
     """Yield work(start, values_matrix(f, ts[start:start + step])) over
     consecutive column blocks of the tags, in block order.
@@ -195,7 +167,8 @@ def map_blocks(f: PathwiseRandomFunction, ts: np.ndarray, work):
     cells = _BLOCK_CELLS if view else _BLOCK_CELLS // 2
     step = max(1, cells // f.space.size)
     starts = range(0, ts.size, step)
-    if view or _WORKERS == 1 or len(starts) == 1:
+    workers = _pool_workers()
+    if view or workers == 1 or len(starts) == 1:
         for start in starts:
             # The previous block is freed only once this one is built:
             # freeing it first costs page faults on every block.
@@ -210,7 +183,7 @@ def map_blocks(f: PathwiseRandomFunction, ts: np.ndarray, work):
     pool, pending = _executor(), deque()
     try:
         for start in starts:
-            if len(pending) == _WORKERS:
+            if len(pending) == workers:
                 yield pending.popleft().result()
             pending.append(pool.submit(task, start))
         while pending:

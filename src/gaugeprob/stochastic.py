@@ -117,9 +117,11 @@ def _rank_k_sums(f: SeparableRandomFunction,
     widths = division.widths
     basis_values = values_in_blocks(f.bases, division.tags)
     coefficients = f.coefficient_matrix()
+    # Each row's largest |value| from its max and min, without a K x n
+    # temporary; NaN propagates as through np.abs.
+    bounds = np.maximum(basis_values.max(axis=1), -basis_values.min(axis=1))
     with np.errstate(over="ignore", invalid="ignore"):
-        reach = (np.abs(coefficients).max(axis=0)
-                 @ np.abs(basis_values).max(axis=1)) * widths.sum()
+        reach = (np.abs(coefficients).max(axis=0) @ bounds) * widths.sum()
     if not reach < _SAFE_REACH:  # also False for NaN
         return None
     basis_values *= widths

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from gaugeprob import Gauge, TaggedDivision, constant_gauge, gauge_from_delta
+from gaugeprob import partitions
 
 settings.register_profile(
     "default",
@@ -47,3 +48,23 @@ def simple_gauges(draw):
 def unit_interval():
     from gaugeprob import Interval
     return Interval(0.0, 1.0)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """use(n): run the shared pool's work (bisection groups, integrand and
+    pathwise blocks) on n workers, from a pool of the test's own, shut down
+    when the test ends."""
+    original = partitions._pool
+
+    def shut_down():
+        if partitions._pool not in (None, original):
+            partitions._pool.shutdown()
+
+    def use(n):
+        shut_down()
+        monkeypatch.setattr(partitions, "_WORKERS", n)
+        monkeypatch.setattr(partitions, "_pool", None)
+
+    yield use
+    shut_down()

@@ -400,6 +400,30 @@ class TestScenarioFiles:
         assert err.startswith(f"gaugeprob: error: {detail}")
         assert err.count("\n") == 1
 
+    # JSON true and false inside a list of numbers are not numbers either;
+    # NumPy would read them as 1 and 0 ("weights": [true, false] sums to 1).
+    @pytest.mark.parametrize("command, scenario, detail", [
+        ("integrate-prob", {
+            "space": {"outcomes": ["a", "b"], "weights": [True, False]},
+            "function": {"form": "separable", "terms": [
+                {"values": [1.0, 2.0], "basis": "linear"}]}},
+         "scenario.space.weights[0]: expected a number, got True"),
+        ("integrate-prob", {
+            "space": {"outcomes": ["a", "b"], "weights": [0.5, 0.5]},
+            "function": {"form": "separable", "terms": [
+                {"values": [1.0, 2.0], "basis": "linear"},
+                {"values": [3.0, False], "basis": "monomial2"}]}},
+         "scenario.function.terms[1].values[1]: expected a number, "
+         "got False"),
+        ("fubini", {"catalog": "linear-coeff",
+                    "dominator": {"values": [True, 2.0]}},
+         "scenario.dominator.values[0]: expected a number, got True"),
+    ])
+    def test_booleans_in_number_lists_are_named(self, capsys, tmp_path,
+                                                command, scenario, detail):
+        err = self.run_named_error(capsys, tmp_path, command, scenario)
+        assert err == f"gaugeprob: error: {detail}\n"
+
     @pytest.mark.parametrize("scenario, detail", [
         ({"t0": float("inf")}, "scenario.t0: must be finite, got inf"),
         ({"t0": float("nan")}, "scenario.t0: must be finite, got nan"),

@@ -1,8 +1,11 @@
 import logging
+import multiprocessing
+import os
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gaugeprob import (
     Gauge,
@@ -16,7 +19,7 @@ from gaugeprob import (
     gauge_intersection,
     is_sharp,
 )
-from gaugeprob import catalog
+from gaugeprob import catalog, partitions
 from gaugeprob.partitions import _BLOCK, DEFAULT_MAX_DEPTH, DEFAULT_MAX_PIECES
 
 from conftest import simple_gauges
@@ -427,6 +430,180 @@ class TestGaugeEvaluations:
         assert d.pieces == 4
         assert [r.getMessage() for r in caplog.records] == [
             "division: 4 pieces, deepest bisection 2, 12 gauge points"]
+
+
+@pytest.fixture
+def groups(monkeypatch, workers):
+    """Bisection groups on two workers for divisions of a few pieces: from
+    8 expected pieces, a frontier at depth 2 and blocks of 4.  The list it
+    returns records, per grouped drain, whether the groups built the
+    division."""
+    workers(2)
+    monkeypatch.setattr(partitions, "_GROUP_PIECES", 8)
+    monkeypatch.setattr(partitions, "_FRONTIER_DEPTH", 2)
+    monkeypatch.setattr(partitions, "_BLOCK", 4)
+    drained = []
+    in_groups = partitions._in_groups
+
+    def recorded(*args):
+        division = in_groups(*args)
+        drained.append(division is not None)
+        return division
+
+    monkeypatch.setattr(partitions, "_in_groups", recorded)
+    return drained
+
+
+def _serial(monkeypatch, build):
+    """The outcome of ``build`` on one worker: the serial build's."""
+    with monkeypatch.context() as one:
+        one.setattr(partitions, "_WORKERS", 1)
+        return _outcome(build)
+
+
+def _assert_grouped_is_serial(monkeypatch, gauge, domain=UNIT, parent=None,
+                              **options):
+    build = lambda: cousin_partition(gauge, domain, parent=parent, **options)
+    _assert_same_outcome(_outcome(build), _serial(monkeypatch, build))
+
+
+_SMALL_FAMILIES = [name for name in catalog.gauge_family_ids()
+                   if not name.startswith("osc-singular")]
+
+
+class TestGroupedBuild:
+    """A division drained in groups on two threads is the serial build's:
+    the same points, tags and depths, or the same error."""
+
+    @pytest.mark.parametrize("split", [0.5, 0.45])
+    @pytest.mark.parametrize("name", _SMALL_FAMILIES)
+    def test_small_families(self, monkeypatch, groups, name, split):
+        family = catalog.gauge_family(name, UNIT)
+        parent = None
+        for level in range(4):
+            _assert_grouped_is_serial(monkeypatch, family(level), split=split)
+            if parent is not None:
+                _assert_grouped_is_serial(monkeypatch, family(level),
+                                          parent=parent, split=split)
+            parent = cousin_partition(family(level), UNIT, split=split)
+        assert groups and all(groups)
+
+    @pytest.mark.parametrize("split", [0.5, 0.45])
+    @pytest.mark.parametrize("name", ["osc-singular", "osc-singular-fine"])
+    def test_singular_families(self, monkeypatch, workers, name, split):
+        # The thresholds of a real run; compare_reports.py checks levels 0-3
+        # of every family against the serial kernel of the parent commit.
+        workers(2)
+        family = catalog.gauge_family(name, UNIT)
+        parent = cousin_partition(family(0), UNIT, split=split)
+        _assert_same_outcome(
+            (parent.points, parent.tags, parent.depths),
+            _serial(monkeypatch, lambda: cousin_partition(family(0), UNIT,
+                                                          split=split)))
+        _assert_grouped_is_serial(monkeypatch, family(1), parent=parent,
+                                  split=split)
+
+    # The fixtures' patches hold for every example alike.
+    @settings(max_examples=40,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(simple_gauges(), st.floats(min_value=0.1, max_value=0.9))
+    def test_simple_gauges(self, monkeypatch, groups, gauge, split):
+        for domain in (UNIT, Interval(-1.0, 2.0)):
+            _assert_grouped_is_serial(monkeypatch, gauge, domain, split=split)
+
+    @settings(max_examples=30,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(nested_families(), st.floats(min_value=0.1, max_value=0.9))
+    def test_nested_families(self, monkeypatch, groups, gauges, split):
+        for domain in (UNIT, Interval(-1.0, 2.0)):
+            parent = cousin_partition(gauges[0], domain, split=split)
+            for gauge in gauges[1:]:
+                _assert_grouped_is_serial(monkeypatch, gauge, domain,
+                                          parent=parent, split=split)
+                parent = cousin_partition(gauge, domain, split=split,
+                                          parent=parent)
+
+    @pytest.mark.parametrize("refined", [False, True])
+    def test_a_width_invalid_only_inside_a_later_group(self, monkeypatch,
+                                                       groups, refined):
+        # Depth 2 leaves four open nodes, one group each; the first point
+        # evaluated in (0.7, 0.71) is a depth-5 midpoint, in the third.
+        def width(ts):
+            inside = (0.7 < ts) & (ts < 0.71)
+            return np.where(inside, -1.0, 5e-3), 5e-3
+
+        gauge = Gauge(width=width)
+        parent = (cousin_partition(constant_gauge(0.1), UNIT) if refined
+                  else None)
+        groups.clear()
+        got = _outcome(lambda: cousin_partition(gauge, UNIT, parent=parent))
+        assert groups == [False]
+        assert got == _serial(monkeypatch,
+                              lambda: cousin_partition(gauge, UNIT))
+        assert got[0] is InvalidGaugeError
+        assert "offending t=0.70" in got[1]
+
+    @pytest.mark.parametrize("refined", [False, True])
+    @pytest.mark.parametrize("gauge, limits", [
+        (_collapsing_gauge(), {"max_depth": 20}),
+        (_collapsing_gauge(0.6), {"max_depth": 30, "max_pieces": 500}),
+        (constant_gauge(1e-3), {"max_pieces": 2000}),
+    ])
+    def test_depth_cap_and_ceiling_errors(self, monkeypatch, groups, gauge,
+                                          limits, refined):
+        parent = (cousin_partition(constant_gauge(0.1), UNIT) if refined
+                  else None)
+        groups.clear()
+        got = _outcome(lambda: cousin_partition(gauge, UNIT, parent=parent,
+                                                **limits))
+        assert groups == [False]
+        assert got == _serial(monkeypatch, lambda: cousin_partition(
+            gauge, UNIT, **limits))
+        assert got[0] is PartitionDepthError
+
+    @pytest.mark.parametrize("refined", [False, True])
+    def test_one_debug_record_counts_every_groups_points(self, caplog,
+                                                         groups, refined):
+        parent = (cousin_partition(constant_gauge(0.1), UNIT) if refined
+                  else None)
+        groups.clear()
+        g, seen = _counting(gauge_from_delta(lambda ts: 1e-2 + 0.1 * ts))
+        with caplog.at_level(logging.DEBUG, logger="gaugeprob"):
+            d = cousin_partition(g, UNIT, parent=parent)
+        assert groups == [True]
+        [record] = caplog.records
+        assert record.getMessage() == (
+            f"division: {d.pieces} pieces, deepest bisection "
+            f"{int(d.depths.max())}, {sum(seen)} gauge points")
+        assert sum(seen) <= 3 * d.pieces
+
+    def test_one_worker_starts_no_pool(self, groups, workers):
+        workers(1)
+        d = cousin_partition(constant_gauge(1e-2), UNIT)
+        assert d.pieces == 128
+        assert groups == []
+        assert partitions._pool is None
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_makes_its_own_pool(self, groups):
+        gauge = constant_gauge(1e-2)
+        expected = cousin_partition(gauge, UNIT).points.tobytes()
+        assert groups == [True]
+        assert partitions._pool is not None
+        child = multiprocessing.get_context("fork").Process(
+            target=_exit_with_points_check, args=(gauge, expected))
+        child.start()
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+
+
+def _exit_with_points_check(gauge, expected):
+    fresh = partitions._pool is None
+    same = cousin_partition(gauge, UNIT).points.tobytes() == expected
+    sys.exit(0 if fresh and same and partitions._pool is not None else 1)
 
 
 # The kernel before endpoint reuse, kept verbatim as the reference above.

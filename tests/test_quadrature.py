@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -16,6 +18,7 @@ from gaugeprob import (
     kh_levels,
     riemann_sum_scalar,
 )
+from gaugeprob import quadrature
 
 UNIT = Interval(0.0, 1.0)
 
@@ -143,3 +146,48 @@ def test_bare_callable_is_called_once_on_the_tag_array():
                        tags=np.linspace(0.1, 0.9, 5))
     assert riemann_sum_scalar(phi, d) == pytest.approx(2.0)
     assert calls == [(5,)]
+
+
+class TestIntegrandBlocksOnTwoThreads:
+    """Integrand values filled in blocks by the calling thread and a pool
+    thread are the one-thread values, and an error is the lowest block's."""
+
+    def test_values_do_not_depend_on_the_worker_count(self, monkeypatch,
+                                                      workers):
+        monkeypatch.setattr(quadrature, "_BLOCK_CELLS", 64)
+        threads = set()
+
+        def recorded(ts):
+            threads.add(threading.current_thread().name)
+            return np.sin(1.0 / (ts + 1e-3))
+
+        integrands = (ScalarIntegrand(name="recorded", fn=recorded),
+                      lambda ts: ts ** 3, lambda ts: 2.0)
+        tags = np.linspace(0.0, 1.0, 1001)
+        runs = []
+        for n in (1, 2):
+            workers(n)
+            threads.clear()
+            runs.append(quadrature.values_in_blocks(integrands, tags).tobytes())
+            runs.append(riemann_sum_scalar(integrands[0], TaggedDivision(
+                points=np.linspace(0.0, 1.0, 1002), tags=tags)))
+            assert any(name.startswith("gaugeprob-blocks")
+                       for name in threads) == (n == 2)
+        assert runs[:2] == runs[2:]
+
+    def test_an_error_is_the_lowest_failing_blocks(self, monkeypatch,
+                                                   workers):
+        workers(2)
+        monkeypatch.setattr(quadrature, "_BLOCK_CELLS", 8)  # 2 tags a block
+
+        def phi(ts):
+            if np.any(ts > 0.45):
+                time.sleep(0.01)  # so that a later block may fail first
+                raise ValueError(f"no value from {float(ts[0])!r}")
+            return ts
+
+        tags = np.arange(11) / 10
+        for _ in range(3):
+            with pytest.raises(ValueError,
+                               match=r"^no value from 0\.4$"):
+                quadrature.values_in_blocks((phi,), tags)

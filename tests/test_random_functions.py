@@ -32,7 +32,7 @@ from gaugeprob import (
     random_riemann_sum,
     riemann_sum_scalar,
 )
-from gaugeprob import quadrature, random_functions, stochastic
+from gaugeprob import partitions, quadrature, random_functions, stochastic
 from gaugeprob.cli import main
 from gaugeprob.random_functions import values_matrix
 
@@ -365,25 +365,6 @@ class TestColumnBlocks:
         assert (err.value.outcome, err.value.tag) == (1, None)
 
 
-@pytest.fixture
-def workers(monkeypatch):
-    """use(n): evaluate pathwise blocks on n workers, from a pool of the
-    test's own, shut down when the test ends."""
-    original = random_functions._pool
-
-    def shut_down():
-        if random_functions._pool not in (None, original):
-            random_functions._pool.shutdown()
-
-    def use(n):
-        shut_down()
-        monkeypatch.setattr(random_functions, "_WORKERS", n)
-        monkeypatch.setattr(random_functions, "_pool", None)
-
-    yield use
-    shut_down()
-
-
 def block_index(tags):
     """The index of the column block (of one column) that ts starts."""
     return lambda ts: int(np.searchsorted(tags, ts[0]))
@@ -544,8 +525,7 @@ class TestParallelBlocks:
                                                     workers, n):
         workers(n)
         # Spare threads, so only the submission window bounds the overlap.
-        monkeypatch.setattr(random_functions, "_pool",
-                            ThreadPoolExecutor(n + 2))
+        monkeypatch.setattr(partitions, "_pool", ThreadPoolExecutor(n + 2))
         monkeypatch.setattr(random_functions, "_BLOCK_CELLS", 4)
         lock = threading.Lock()
         running, peak = [0], [0]
@@ -598,7 +578,7 @@ class TestParallelBlocks:
         f = cosine_paths(4)
         division = midpoint_division(16)
         expected = random_riemann_sum(f, division).values.tobytes()
-        assert random_functions._pool is not None
+        assert partitions._pool is not None
         child = multiprocessing.get_context("fork").Process(
             target=_exit_with_sum_check, args=(f, division, expected))
         child.start()
