@@ -112,7 +112,10 @@ def _run_shared(task, count: int) -> list:
     finally:
         ended.append(True)
         from concurrent.futures import wait
-        wait([helper for helper in helpers if not helper.cancel()])
+        begun = [helper for helper in helpers if not helper.cancel()]
+        wait(begun)
+    for helper in begun:
+        helper.result()  # what escaped a loop, such as SystemExit
     if errors:
         raise errors[min(errors)]
     return results

@@ -577,6 +577,30 @@ class TestGroupedBuild:
             f"{int(d.depths.max())}, {sum(seen)} gauge points")
         assert sum(seen) <= 3 * d.pieces
 
+    def test_more_workers_than_cores_lose_no_update(self, groups, workers):
+        # Four threads share the index iterator and the node count: a lost
+        # update would run a group twice or let the ceiling pass unseen.
+        workers(4)
+        taken = []
+        gauge = constant_gauge(1e-3)  # 1024 pieces, 2047 nodes
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                taken.clear()
+                assert partitions._run_shared(
+                    lambda index: taken.append(index) or index, 50
+                ) == list(range(50))
+                assert sorted(taken) == list(range(50))
+                assert cousin_partition(gauge, UNIT,
+                                        max_pieces=2047).pieces == 1024
+                with pytest.raises(PartitionDepthError,
+                                   match="more than 2046 pieces"):
+                    cousin_partition(gauge, UNIT, max_pieces=2046)
+        finally:
+            sys.setswitchinterval(interval)
+        assert groups == [True, False] * 10
+
     def test_one_worker_starts_no_pool(self, groups, workers):
         workers(1)
         d = cousin_partition(constant_gauge(1e-2), UNIT)
