@@ -117,7 +117,14 @@ def _run_shared(task, count: int) -> list:
     for helper in begun:
         helper.result()  # what escaped a loop, such as SystemExit
     if errors:
-        raise errors[min(errors)]
+        try:
+            raise errors[min(errors)]
+        finally:
+            # The error's traceback holds this frame and the loops' frames,
+            # which hold ``errors``: emptied, and with no local naming the
+            # error, it is no reference cycle, and the results and the
+            # task's data go with it instead of at the next collection.
+            errors.clear()
     return results
 
 

@@ -1,7 +1,9 @@
+import gc
 import logging
 import multiprocessing
 import os
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -600,6 +602,35 @@ class TestGroupedBuild:
         finally:
             sys.setswitchinterval(interval)
         assert groups == [True, False] * 10
+
+    def test_a_failed_run_frees_its_results_without_the_collector(
+            self, workers):
+        # A dropped grouped build must not wait for the cyclic collector to
+        # free its groups' pieces: a level that trips the ceiling is built
+        # again from the domain while they would still be held.
+        workers(2)
+
+        class Part:
+            pass
+
+        parts = []
+
+        def task(index):
+            part = Part()
+            parts.append(weakref.ref(part))
+            if index == 3:
+                raise ValueError("no part 3")
+            return part
+
+        gc.disable()
+        try:
+            try:
+                partitions._run_shared(task, 6)
+            except ValueError as exc:
+                assert str(exc) == "no part 3"
+            assert parts and all(ref() is None for ref in parts)
+        finally:
+            gc.enable()
 
     def test_one_worker_starts_no_pool(self, groups, workers):
         workers(1)
