@@ -89,9 +89,11 @@ def _run_shared(task, count: int) -> list:
     thread and up to _pool_workers() - 1 pool threads, each thread taking
     the next index as it comes free.  Once one call raises, no thread takes
     another index; when every call begun has ended, the exception of the
-    lowest index that raised is raised here."""
+    lowest index that raised is raised here.  Pool threads run under the
+    calling thread's NumPy error state."""
     results, errors, ended = [None] * count, {}, []
     indices, lock = iter(range(count)), threading.Lock()
+    state = np.geterr()
 
     def loop():
         while True:
@@ -105,17 +107,23 @@ def _run_shared(task, count: int) -> list:
                 with lock:
                     errors[index] = exc
 
-    helpers = [_executor().submit(loop)
+    def helper():
+        with np.errstate(**state):
+            loop()
+
+    helpers = [_executor().submit(helper)
                for _ in range(min(_pool_workers(), count) - 1)]
+    begun = []
     try:
         loop()
     finally:
         ended.append(True)
-        from concurrent.futures import wait
-        begun = [helper for helper in helpers if not helper.cancel()]
-        wait(begun)
-    for helper in begun:
-        helper.result()  # what escaped a loop, such as SystemExit
+        if helpers:
+            from concurrent.futures import wait
+            begun = [future for future in helpers if not future.cancel()]
+            wait(begun)
+    for future in begun:
+        future.result()  # what escaped a loop, such as SystemExit
     if errors:
         try:
             raise errors[min(errors)]

@@ -78,8 +78,7 @@ def values_in_blocks(integrands, tags: np.ndarray) -> np.ndarray:
     tags = np.asarray(tags, dtype=float)
     values = np.empty((len(integrands), tags.size))
     step = max(1, _BLOCK_CELLS // len(integrands))
-    shared = tags.size > step and _pool_workers() > 1
-    if shared:
+    if tags.size > step and _pool_workers() > 1:
         step = max(1, _BLOCK_CELLS // 4 // len(integrands))
     starts = range(0, tags.size, step)
 
@@ -88,11 +87,7 @@ def values_in_blocks(integrands, tags: np.ndarray) -> np.ndarray:
         for row, phi in zip(values, integrands):
             row[block] = _evaluate(phi, tags[block])
 
-    if shared:
-        _run_shared(fill, len(starts))
-    else:
-        for index in range(len(starts)):
-            fill(index)
+    _run_shared(fill, len(starts))
     return values
 
 

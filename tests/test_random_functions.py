@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -489,6 +490,30 @@ class TestParallelBlocks:
                                 "allocate 164. GiB for an array\n")
         assert threads
         assert all(name.startswith("gaugeprob-blocks") for name in threads)
+
+    def test_a_view_block_on_two_threads_keeps_the_error_state(
+            self, monkeypatch, workers):
+        # One outcome and two terms: a view block of 2001 tags is filled in
+        # integrand blocks of 8 tags by the calling thread and a pool
+        # thread, both under values_matrix's error state.
+        workers(2)
+        monkeypatch.setattr(quadrature, "_BLOCK_CELLS", 64)
+        threads = set()
+
+        def overflowing(ts):
+            threads.add(threading.current_thread().name)
+            time.sleep(1e-4)
+            return np.exp(1000.0 + ts)
+
+        space = DiscreteProbabilitySpace.uniform(1)
+        one = RandomVariable(space=space, values=(1.0,))
+        f = SeparableRandomFunction(coefficients=(one, one), bases=(
+            LINEAR, ScalarIntegrand(name="overflowing", fn=overflowing)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = values_matrix(as_pathwise(f), np.linspace(0.0, 1.0, 2001))
+        assert any(name.startswith("gaugeprob-blocks") for name in threads)
+        assert np.isposinf(values).all()
 
     def test_an_early_stop_leaves_no_block_running(self, monkeypatch, workers):
         workers(2)
