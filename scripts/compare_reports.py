@@ -31,8 +31,10 @@ code, stderr, the report's shape, every string, integer and flag
 ``fsum`` probabilities.  Byte identity stays the default.
 
 Scenario files, including the sampled scenarios that ``bench/inputs.py``
-generates and a sampled separable scenario of 10^5 outcomes, are written to
-the same temporary directory, which is removed afterwards.
+generates, two copies of its seed-1 separable scenario with dominators that
+only the dense domination check decides, and a sampled separable scenario of
+10^5 outcomes, are written to the same temporary directory, which is
+removed afterwards.
 """
 
 from __future__ import annotations
@@ -131,6 +133,8 @@ def gate_commands(scenario_dir: Path) -> list[list[str]]:
                      ["fubini", *sampled],
                      ["convergence-table", *sampled, "--levels", "8"]]
     commands += [
+        ["fubini", *scenario("sampled-separable-1-equality")],
+        ["fubini", *scenario("sampled-separable-1-halved")],
         ["integrate", "--catalog", "linear", "--levels", "-1"],
         ["fubini", "--catalog", "linear-coeff", "--levels", "0"],
         ["fubini", "--catalog", "trig-coeff", "--levels", "3"],
@@ -432,6 +436,20 @@ def _write_scenarios(scenario_dir: Path, env: dict) -> None:
         (generate("sampled-separable", seed) / "scenario.json").rename(
             scenario_dir / f"sampled-separable-{seed}.json")
     generate("sampled-pathwise", 1)
+    # Two dominators the rank-K reach cannot clear, so the dense values
+    # decide on all 10^4 outcomes: outcome 0 turned into f = t with A = 1,
+    # dominated with equality at t = 1; and every dominator halved, a
+    # violation.
+    separable = json.loads(
+        (scenario_dir / "sampled-separable-1.json").read_text())
+    terms, bound = separable["function"]["terms"], separable["dominator"]
+    terms[0]["values"][0], terms[1]["values"][0] = 0.0, 1.0
+    bound["values"][0] = 1.0
+    (scenario_dir / "sampled-separable-1-equality.json").write_text(
+        json.dumps(separable), encoding="utf-8")
+    bound["values"] = [0.5 * a for a in bound["values"]]
+    (scenario_dir / "sampled-separable-1-halved.json").write_text(
+        json.dumps(separable), encoding="utf-8")
 
 
 def main(argv=None) -> int:

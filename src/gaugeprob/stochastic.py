@@ -65,6 +65,17 @@ _VERIFY_PIECE_GUARD = 8_000_000
 # of the rank-K or the dense route can overflow.
 _SAFE_REACH = np.finfo(float).max / 2.0
 
+# The domination check clears a separable function without its dense cells
+# when R(omega) * (1 + K * _REACH_MARGIN) + tiny <= A(omega), where R is the
+# float reach sum_k |C_k| M_k and M_k = max|phi_k(ts)|.  A dense cell is a
+# K-term dot product, so |fl(cell)| <= (1 + g) sum_k |C_k| |phi_k(t)| with
+# g = K u / (1 - K u), u = eps / 2; the float reach is at least (1 - g)
+# times the exact one; and the product with 1 + K * _REACH_MARGIN loses
+# one more u.  (1 + g) / ((1 - g)(1 - u)) - 1 is below (K + 1) eps, so
+# 4 K eps leaves room; tiny covers the absolute error of products that
+# underflow.
+_REACH_MARGIN = 4.0 * np.finfo(float).eps
+
 log = logging.getLogger("gaugeprob")
 
 
@@ -108,6 +119,12 @@ def _combine(f: SeparableRandomFunction, scalars) -> RandomVariable:
                           values=[math.fsum(row) for row in products.tolist()])
 
 
+def _row_peaks(values: np.ndarray) -> np.ndarray:
+    """Each row's largest |value|, from its max and min, without a
+    temporary of the values' size; NaN propagates as through np.abs."""
+    return np.maximum(values.max(axis=1), -values.min(axis=1))
+
+
 def _rank_k_sums(f: SeparableRandomFunction,
                  division: TaggedDivision) -> np.ndarray | None:
     """C @ s, where s holds the K sums riemann_sum_scalar(phi_k, division);
@@ -117,9 +134,7 @@ def _rank_k_sums(f: SeparableRandomFunction,
     widths = division.widths
     basis_values = values_in_blocks(f.bases, division.tags)
     coefficients = f.coefficient_matrix()
-    # Each row's largest |value| from its max and min, without a K x n
-    # temporary; NaN propagates as through np.abs.
-    bounds = np.maximum(basis_values.max(axis=1), -basis_values.min(axis=1))
+    bounds = _row_peaks(basis_values)
     with np.errstate(over="ignore", invalid="ignore"):
         reach = (np.abs(coefficients).max(axis=0) @ bounds) * widths.sum()
     if not reach < _SAFE_REACH:  # also False for NaN
@@ -247,13 +262,13 @@ def _certify(integral: RandomVariable, levels: LevelPass, pairs, sums,
     last = levels.level + _VERIFY_EXTRA_LEVELS
     while True:
         all_sums = (levels.sums, sums(levels.fresh()))
+        mesh = levels.division.mesh
         for (eps, eta) in pending:
             tail = max(
                 deviation_probability(s, integral, eps) for s in all_sums
             )
             rows[(eps, eta)] = CertificateRow(
-                eps=eps, eta=eta, achieved_tail=tail,
-                mesh_bound=levels.division.mesh)
+                eps=eps, eta=eta, achieved_tail=tail, mesh_bound=mesh)
         pending = [p for p in pending if rows[p].achieved_tail >= rows[p].eta]
         if (not pending or levels.division.pieces > _VERIFY_PIECE_GUARD
                 or levels.level == last or not levels.advance()):
@@ -471,12 +486,37 @@ class FubiniReport:
         return asdict(self)
 
 
+def _reach_clears(f: SeparableRandomFunction, ts: np.ndarray,
+                  dominator: RandomVariable) -> bool:
+    """Whether sum_k |C_k| max|phi_k(ts)|, with the margin of
+    ``_REACH_MARGIN``, is at most the dominator on every outcome of positive
+    weight, so that no dense cell of f at ts can exceed it.  False when it
+    is not, and when evaluating the bases raises: the dense check then
+    decides, and names any error itself.  A NaN or infinite basis peak
+    makes every reach NaN or infinite, which no finite dominator clears."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            peaks = _row_peaks(values_in_blocks(f.bases, ts))
+            reach = np.abs(f.coefficient_matrix()) @ peaks
+            cleared = (reach * (1.0 + f.terms * _REACH_MARGIN)
+                       + np.finfo(float).tiny <= dominator.values)
+    except Exception:
+        return False
+    return bool(cleared[f.space.weights > 0].all())
+
+
 def _domination_violation(f: RandomFunction, ts: np.ndarray,
                           dominator: RandomVariable):
     """First point of ts where |f(t, .)| exceeds the dominator on outcomes
-    of positive weight, with those outcomes; None if there is none.  The
-    values are evaluated block by block over ``map_blocks``, which stops
-    at the first block with a violation."""
+    of positive weight, with those outcomes; None if there is none.
+
+    A separable function whose reach clears the dominator
+    (``_reach_clears``) has none, and no outcomes x tags cell is computed.
+    Otherwise the values are evaluated block by block over ``map_blocks``,
+    which stops at the first block with a violation."""
+    if isinstance(f, SeparableRandomFunction) and _reach_clears(f, ts,
+                                                                dominator):
+        return None
     view = as_pathwise(f)
     positive = (view.space.weights > 0)[:, None]
     bound = dominator.values[:, None]
@@ -503,7 +543,12 @@ def fubini_check(f: RandomFunction, domain: Interval,
     |f(t, omega)| <= A(omega) almost surely for every t -- verified exactly
     on a Chebyshev grid plus every tag the integrations actually touch.  A
     violation produces a failed report naming t and the outcomes; nothing
-    is integrated in that case.
+    is integrated in that case.  A separable f is cleared in rank K when
+    each outcome's reach sum_k |C_k| max|phi_k|, over the checked points and
+    with a rounding margin, is at most A; then no outcomes x tags cell is
+    computed.  When the reach does not clear A, a basis peak is not finite
+    or a basis raises, the dense values of ``as_pathwise(f)`` decide, so the
+    report and any error are the dense check's.
 
     With hypotheses in force, LHS integrates t -> E[f(t, .)] as a scalar
     function and RHS averages the pathwise integral; they must agree within

@@ -1,18 +1,23 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gaugeprob import (
     DiscreteProbabilitySpace,
     Interval,
     RandomVariable,
+    ScalarIntegrand,
     SeparableRandomFunction,
     SpaceMismatchError,
+    as_pathwise,
     derivative_in_probability_at,
     expectation,
     fubini_check,
     ftc_experiment,
 )
-from gaugeprob import catalog
+from gaugeprob import catalog, random_functions, stochastic
 
 UNIT = Interval(0.0, 1.0)
 SPACE = DiscreteProbabilitySpace.uniform(("w1", "w2"))
@@ -131,6 +136,127 @@ class TestBlockedDominationCheck:
         assert stochastic._domination_violation(f, ts, dominator) == single
         # The two blocks may run on two threads, in either order.
         assert sorted(calls) == [(ts[0], step), (ts[step], 100)]
+
+
+def table_basis(ts, values):
+    """A basis that takes values[j] at ts[j] (ts ascending), as a pointwise
+    function of each tag."""
+    values = np.array(values, dtype=float)
+    return ScalarIntegrand(name="table",
+                           fn=lambda t: values[np.searchsorted(ts, t)])
+
+
+SPECIAL_VALUES = (math.nan, math.inf, -math.inf, 1e300, 0.0)
+# Where an outcome's dominator is drawn: at its float reach
+# sum_k |C_k| max|phi_k| or at its largest |dense cell|, one float either
+# side of that, or well above or below it.
+MOVES = {"at": lambda x: x,
+         "up": lambda x: np.nextafter(x, np.inf),
+         "down": lambda x: np.nextafter(x, -np.inf),
+         "above": lambda x: 2.0 * x + 1.0,
+         "below": lambda x: 0.5 * x}
+PLACES = tuple((base, move) for base in ("reach", "cell") for move in MOVES)
+
+
+@st.composite
+def separable_checks(draw):
+    """(f, ts, A): a separable f over 2-50 outcomes, some of zero weight,
+    whose bases take drawn values, NaN and inf among them, at the drawn
+    points ts; and a dominator drawn around each outcome's reach."""
+    n = draw(st.integers(min_value=2, max_value=50))
+    raw = draw(st.lists(st.sampled_from((0.0, 0.5, 1.0, 3.0)), min_size=n,
+                        max_size=n).filter(any))
+    space = DiscreteProbabilitySpace(labels=tuple(range(n)),
+                                     weights=np.array(raw) / math.fsum(raw))
+    ts = np.unique(draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
+                                 min_size=1, max_size=20)))
+    terms = draw(st.integers(min_value=1, max_value=3))
+    tables = []
+    for _ in range(terms):
+        table = draw(st.lists(st.floats(min_value=-4.0, max_value=4.0),
+                              min_size=ts.size, max_size=ts.size))
+        for j, value in draw(st.lists(st.tuples(
+                st.integers(min_value=0, max_value=ts.size - 1),
+                st.sampled_from(SPECIAL_VALUES)), max_size=1)):
+            table[j] = value
+        tables.append(table)
+    coefficients = np.array(draw(st.lists(
+        st.lists(st.floats(min_value=-3.0, max_value=3.0) | st.just(0.0),
+                 min_size=n, max_size=n),
+        min_size=terms, max_size=terms)))
+    f = SeparableRandomFunction(
+        coefficients=tuple(RandomVariable(space=space, values=c)
+                           for c in coefficients),
+        bases=tuple(table_basis(ts, t) for t in tables))
+
+    values = np.array(tables)
+    with np.errstate(over="ignore", invalid="ignore"):
+        peaks = np.abs(values).max(axis=1)
+        bases = {"reach": np.abs(coefficients.T) @ peaks,
+                 "cell": np.abs(coefficients.T @ values).max(axis=1)}
+    # One place for every outcome, or one each; well above the reach half
+    # the time, so the rank-K route often clears all or some outcomes.
+    place = st.just(("reach", "above")) | st.sampled_from(PLACES)
+    places = draw(place.map(lambda p: [p] * n)
+                  | st.lists(place, min_size=n, max_size=n))
+    dominator = []
+    for i, (base, move) in enumerate(places):
+        value = MOVES[move](bases[base][i])
+        if not math.isfinite(value):
+            value = draw(st.floats(min_value=0.0, max_value=10.0))
+        dominator.append(max(float(value), 0.0))
+    return f, ts, RandomVariable(space=space, values=dominator)
+
+
+class TestRankKDomination:
+    """A separable function's domination is decided by its rank-K reach when
+    that clears the dominator, and by the dense values otherwise."""
+
+    @given(separable_checks())
+    def test_rank_k_and_dense_routes_agree(self, check):
+        f, ts, dominator = check
+        assert (stochastic._domination_violation(f, ts, dominator)
+                == stochastic._domination_violation(as_pathwise(f), ts,
+                                                    dominator))
+
+    def test_a_cleared_check_computes_no_dense_cell(self, monkeypatch):
+        calls = []
+        original = random_functions.values_matrix
+
+        def recorded(f, ts):
+            calls.append(ts.size)
+            return original(f, ts)
+
+        monkeypatch.setattr(random_functions, "values_matrix", recorded)
+        f = linear_entry().function
+        ts = np.linspace(0.0, 1.0, 9)
+        assert stochastic._domination_violation(f, ts, rv(3.0, 3.0)) is None
+        rep = fubini_check(f, UNIT, rv(3.0, 3.0), 1e-6)
+        assert rep.passed and rep.hypothesis_ok and rep.bound_ok
+        assert calls == []
+        # Dominated with equality at t = 1: the dense values decide.
+        assert stochastic._domination_violation(f, ts, rv(1.0, 2.0)) is None
+        assert calls == [9]
+
+    def test_a_basis_raising_past_a_violation_still_reports_it(
+            self, monkeypatch):
+        monkeypatch.setattr(random_functions, "_BLOCK_CELLS", 8)
+
+        def ramp(ts):
+            if (ts > 0.75).any():
+                raise ValueError("no values past 0.75")
+            return ts
+
+        f = SeparableRandomFunction(
+            coefficients=(rv(1.0, 2.0),),
+            bases=(ScalarIntegrand(name="ramp", fn=ramp),))
+        ts = np.linspace(0.0, 1.0, 9)  # view blocks of 4 tags
+        # 2 t exceeds 0.2 at t = 0.125, in the first block.
+        assert stochastic._domination_violation(f, ts, rv(1.0, 0.2)) == (
+            0.125, (1,))
+        # With no violation before it, the basis's error is the dense one.
+        with pytest.raises(ValueError, match="past 0.75"):
+            stochastic._domination_violation(f, ts, rv(5.0, 5.0))
 
 
 class TestDerivativeInProbability:

@@ -592,9 +592,12 @@ class TestParallelBlocks:
         f = SeparableRandomFunction(coefficients=(rv(1.0, 2.0),),
                                     bases=(basis,))
         ts = np.linspace(0.0, 1.0, 10)
-        assert stochastic._domination_violation(f, ts, rv(5.0, 5.0)) is None
+        # Dominated with equality at t = 1, so the rank-K reach (the first
+        # call, on all 10 points) cannot clear it and the view decides.
+        assert stochastic._domination_violation(f, ts, rv(1.0, 2.0)) is None
         here = threading.current_thread()
-        assert calls == [(here, 4), (here, 4), (here, 2)]  # 8 cells a block
+        assert calls[0] == (here, 10)
+        assert calls[1:] == [(here, 4), (here, 4), (here, 2)]  # 8 cells a block
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_a_forked_child_makes_its_own_pool(self, monkeypatch, workers):
